@@ -10,15 +10,12 @@ import pathlib
 import sys
 
 from exprk.discretize import build_grid, build_operators
-from exprk.probes import (fourier_beta_probe, relative_boundedness_probe,
-                          sine_coefficients_initial_data, smoothing_probe,
-                          worst_case_coefficients)
+from exprk.probes import (DEFAULT_FOURIER_LENGTHS, DEFAULT_RELBOUND_SIZES,
+                          DEFAULT_SMOOTHING_TIMES, fourier_beta_probe,
+                          relative_boundedness_probe, sine_coefficients_initial_data,
+                          smoothing_probe, worst_case_coefficients)
 
 OUT_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-T_GRID = tuple(2.0 ** -k for k in range(12, -1, -1))
-SIZES = (25, 50, 100, 200, 399)
-N_LIST = tuple(2 ** k for k in range(6, 15))
 
 
 def emit(report, filename):
@@ -33,16 +30,18 @@ def main() -> int:
     ops = build_operators(build_grid(399), 0.2)
 
     for gamma in (0.25, 0.5, 0.75):
-        emit(smoothing_probe(ops, gamma, T_GRID), f"smoothing_g{gamma:g}.csv")
+        emit(smoothing_probe(ops, gamma, DEFAULT_SMOOTHING_TIMES),
+             f"smoothing_g{gamma:g}.csv")
 
     for gamma in (1.0, 0.5, 0.1):
-        emit(relative_boundedness_probe(gamma, SIZES), f"relbound_g{gamma:g}.csv")
+        emit(relative_boundedness_probe(gamma, DEFAULT_RELBOUND_SIZES),
+             f"relbound_g{gamma:g}.csv")
 
     rules = (("u0", sine_coefficients_initial_data),
              ("1k", worst_case_coefficients))
     for beta, norm in ((-0.01, "l1"), (0.24, "l2"), (0.49, "linf")):
         for tag, rule in rules:
-            emit(fourier_beta_probe(rule, beta, N_LIST, norm),
+            emit(fourier_beta_probe(rule, beta, DEFAULT_FOURIER_LENGTHS, norm),
                  f"fourier_b{beta:g}_{norm}_{tag}.csv")
     return 0
 

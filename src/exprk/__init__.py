@@ -4,7 +4,7 @@ Library layout:
   matfuncs         matrix exponential, phi functions, augmented-matrix kernel
   discretize       1D advection-diffusion testbed and discrete norms
   tableaus         phi-combination tableaus and the built-in schemes
-  stepping         cached stepping, solve, RK4 reference
+  stepping         one-matrix step propagator, solve, RK4 reference
   orderconditions  stiff order-condition residuals
   probes           smoothing / relative-boundedness / Fourier-sum probes
   convergence      tau-grid convergence harness with CSV output

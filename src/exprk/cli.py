@@ -24,10 +24,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-DEFAULT_SMOOTHING_TIMES = tuple(2.0 ** -k for k in range(12, -1, -1))
-DEFAULT_RELBOUND_SIZES = (25, 50, 100, 200, 399)
-DEFAULT_FOURIER_LENGTHS = tuple(2 ** k for k in range(6, 15))
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -38,9 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def scheme_flags(p):
         p.add_argument("--scheme", default=None,
-                       help="euler | rk2 | rk3paper (default rk3paper)")
+                       help=f"euler | rk2 | rk3paper (default {RunConfig.scheme})")
         p.add_argument("--c", type=float, default=None,
-                       help="free node of the rk2 family (default 0.5)")
+                       help=f"free node of the rk2 family (default {RunConfig.c:g})")
         p.add_argument("--tableau", default=None,
                        help="path to a custom tableau file (overrides --scheme)")
 
@@ -48,21 +44,25 @@ def _build_parser() -> argparse.ArgumentParser:
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--config", default=None, help="key=value configuration file")
     scheme_flags(p)
-    p.add_argument("--n", type=int, default=None, help="inner grid points (default 399)")
-    p.add_argument("--nu", type=float, default=None, help="diffusion coefficient (default 0.2)")
-    p.add_argument("--T", type=float, default=None, help="final time (default 1)")
+    p.add_argument("--n", type=int, default=None,
+                   help=f"inner grid points (default {RunConfig.n})")
+    p.add_argument("--nu", type=float, default=None,
+                   help=f"diffusion coefficient (default {RunConfig.nu:g})")
+    p.add_argument("--T", type=float, default=None,
+                   help=f"final time (default {RunConfig.T:g})")
     p.add_argument("--tau-list", dest="tau_list", default=None,
                    help="comma-separated decreasing step sizes (default 2^-4..2^-10)")
     p.add_argument("--tau-ref", dest="tau_ref", type=float, default=None,
                    help="reference RK4 step (default: stability-derived)")
-    p.add_argument("--out", default=None, help="output CSV path (default convergence.csv)")
-    p.add_argument("--seed", type=int, default=None, help="randomness seed (default 0)")
+    p.add_argument("--out", default=None,
+                   help=f"output CSV path (default {RunConfig.out})")
 
     p = sub.add_parser("check-order", help="evaluate the stiff order conditions",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     scheme_flags(p)
     p.add_argument("--seed", type=int, default=0, help="seed for the random test matrix")
-    p.add_argument("--require-order", type=int, default=None, choices=(1, 2, 3),
+    p.add_argument("--require-order", type=int, default=None,
+                   choices=tuple(orderconditions.ORDER_CLAIMS),
                    help="fail unless the scheme passes all conditions of this order")
 
     p = sub.add_parser("probe", help="numerical probes of the analytical bounds",
@@ -74,16 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="norm for the Fourier probe")
     p.add_argument("--coeffs", default="u0", choices=("u0", "1/k"),
                    help="Fourier coefficient rule: initial-data sine series or 1/k")
-    p.add_argument("--n", type=int, default=399, help="testbed grid size")
-    p.add_argument("--nu", type=float, default=0.2, help="diffusion coefficient")
+    p.add_argument("--n", type=int, default=RunConfig.n, help="testbed grid size")
+    p.add_argument("--nu", type=float, default=RunConfig.nu, help="diffusion coefficient")
     p.add_argument("--out", default=None, help="optional CSV output path")
 
     p = sub.add_parser("solve", help="single run; prints final-state norms",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     scheme_flags(p)
-    p.add_argument("--n", type=int, default=399, help="inner grid points")
-    p.add_argument("--nu", type=float, default=0.2, help="diffusion coefficient")
-    p.add_argument("--T", type=float, default=1.0, help="final time")
+    p.add_argument("--n", type=int, default=RunConfig.n, help="inner grid points")
+    p.add_argument("--nu", type=float, default=RunConfig.nu, help="diffusion coefficient")
+    p.add_argument("--T", type=float, default=RunConfig.T, help="final time")
     p.add_argument("--tau", type=float, default=2.0 ** -6, help="step size")
     return parser
 
@@ -91,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_tableau(args):
     if getattr(args, "tableau", None):
         return load_tableau(args.tableau)
-    return resolve_scheme(args.scheme or "rk3paper", args.c if args.c is not None else 0.5)
+    return resolve_scheme(args.scheme or RunConfig.scheme,
+                          args.c if args.c is not None else RunConfig.c)
 
 
 def cmd_convergence(args) -> int:
@@ -100,7 +101,7 @@ def cmd_convergence(args) -> int:
         cfg.apply(parse_config_file(args.config))
     cfg.apply({k: getattr(args, k) for k in
                ("scheme", "c", "n", "nu", "T", "tau_list", "tau_ref",
-                "out", "seed", "tableau")})
+                "out", "tableau")})
     tableau = load_tableau(cfg.tableau) if cfg.tableau else None
     spec = convergence.ExperimentSpec(
         n_inner=cfg.n, nu=cfg.nu, T=cfg.T, scheme=cfg.scheme, c=cfg.c,
@@ -115,25 +116,17 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
-_ORDER_CONDITIONS = {1: (1,), 2: (1, 2, 3), 3: (1, 2, 3, 4, 5)}
-
-
 def cmd_check_order(args) -> int:
     tableau = _resolve_tableau(args)
     report = orderconditions.full_report(tableau, z_seed=args.seed)
     sys.stdout.write(report.to_table())
     if args.require_order is not None:
-        required = _ORDER_CONDITIONS[args.require_order]
-        for row in report.rows:
-            if row.condition not in required or row.z_spec.endswith("+randJ"):
-                continue
-            # condition 5 only needs to hold weakly for stiff order three
-            if row.condition == 5 and row.mode != "weak":
-                continue
-            if not row.passed:
-                print(f"condition {row.condition} fails in {row.mode} form "
-                      f"(residual {row.residual:.3e})")
-                return EXIT_RUNTIME
+        row = orderconditions.first_failure(
+            orderconditions.ORDER_CLAIMS[args.require_order], report)
+        if row is not None:
+            print(f"condition {row.condition} fails in {row.mode} form "
+                  f"(residual {row.residual:.3e})")
+            return EXIT_RUNTIME
         return EXIT_OK
     ok = orderconditions.claims_satisfied(tableau, report)
     if not ok:
@@ -145,15 +138,15 @@ def cmd_probe(args) -> int:
     if args.kind == "smoothing":
         g = discretize.build_grid(args.n)
         ops = discretize.build_operators(g, args.nu)
-        report = probes.smoothing_probe(ops, args.gamma, DEFAULT_SMOOTHING_TIMES)
+        report = probes.smoothing_probe(ops, args.gamma, probes.DEFAULT_SMOOTHING_TIMES)
     elif args.kind == "relbound":
-        sizes = tuple(n for n in DEFAULT_RELBOUND_SIZES if n <= args.n) or (args.n,)
+        sizes = tuple(n for n in probes.DEFAULT_RELBOUND_SIZES if n <= args.n) or (args.n,)
         report = probes.relative_boundedness_probe(args.gamma, sizes, args.nu)
     else:
         rule = (probes.sine_coefficients_initial_data if args.coeffs == "u0"
                 else probes.worst_case_coefficients)
         report = probes.fourier_beta_probe(rule, args.beta,
-                                           DEFAULT_FOURIER_LENGTHS, args.norm)
+                                           probes.DEFAULT_FOURIER_LENGTHS, args.norm)
     verdict = "bounded" if report.bounded else "unbounded"
     print(f"{report.label}: max={report.max_value:.6g} verdict={verdict}")
     if args.out:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .convergence import NORMS, ExperimentSpec
 from .errors import ParameterError
 
 KNOWN_KEYS = ("scheme", "c", "n", "nu", "T", "tau_list", "tau_ref",
-              "out", "seed", "norms", "tableau")
+              "out", "norms", "tableau")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -41,22 +42,23 @@ def _parse_floats(text: str) -> Tuple[float, ...]:
 
 @dataclass
 class RunConfig:
-    scheme: str = "rk3paper"
-    c: float = 0.5
-    n: int = 399
-    nu: float = 0.2
-    T: float = 1.0
-    tau_list: Tuple[float, ...] = tuple(2.0 ** -k for k in range(4, 11))
-    tau_ref: Optional[float] = None
+    """Convergence-run settings; the experiment defaults come from ExperimentSpec."""
+
+    scheme: str = ExperimentSpec.scheme
+    c: float = ExperimentSpec.c
+    n: int = ExperimentSpec.n_inner
+    nu: float = ExperimentSpec.nu
+    T: float = ExperimentSpec.T
+    tau_list: Tuple[float, ...] = ExperimentSpec.tau_list
+    tau_ref: Optional[float] = ExperimentSpec.tau_ref
     out: str = "convergence.csv"
-    seed: int = 0
-    norms: Tuple[str, ...] = ("l1", "l2", "linf")
+    norms: Tuple[str, ...] = NORMS
     tableau: Optional[str] = None  # path to a tableau file
 
     _CASTS = {
         "scheme": str, "c": float, "n": int, "nu": float, "T": float,
         "tau_list": _parse_floats, "tau_ref": float, "out": str,
-        "seed": int, "norms": lambda s: tuple(str(s).split(",")), "tableau": str,
+        "norms": lambda s: tuple(str(s).split(",")), "tableau": str,
     }
 
     def apply(self, values: dict):

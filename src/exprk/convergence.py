@@ -40,7 +40,7 @@ class ExperimentSpec:
         if len(self.tau_list) < 4:
             raise ParameterError(
                 f"tau_list needs >= 4 entries for an order fit, got {len(self.tau_list)}")
-        if list(self.tau_list) != sorted(self.tau_list, reverse=True):
+        if any(a <= b for a, b in zip(self.tau_list, self.tau_list[1:])):
             raise ParameterError("tau_list must be strictly decreasing")
         for tau in self.tau_list:
             if abs(self.T / tau - round(self.T / tau)) > 1e-9:

@@ -175,8 +175,7 @@ def sym_eigen(M) -> SymEigen:
     Raises ContractError when the relative asymmetry (inf-norm) exceeds 1e-12.
     """
     M = _as_square(M)
-    scale = np.abs(M).max()
-    if scale > 0 and np.abs(M - M.T).max() > 1e-12 * scale:
+    if not is_symmetric(M):
         raise ContractError("matrix is not symmetric to 1e-12")
     lam, Q = np.linalg.eigh(0.5 * (M + M.T))
     return SymEigen(eigenvalues=lam, eigenvectors=Q)

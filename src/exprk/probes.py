@@ -19,6 +19,11 @@ from .matfuncs import frac_power, sym_eigen
 
 TREND_FACTOR = 1.05
 
+# Control grids of the three probes as run from the CLI and the scripts.
+DEFAULT_SMOOTHING_TIMES = tuple(2.0 ** -k for k in range(12, -1, -1))
+DEFAULT_RELBOUND_SIZES = (25, 50, 100, 200, 399)
+DEFAULT_FOURIER_LENGTHS = tuple(2 ** k for k in range(6, 15))
+
 
 def bounded_trend(values) -> bool:
     """Last value at most 1.05x the median of the earlier values."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParameterError
+from .errors import ContractError, ParameterError
 from .tableaus import PhiCombo, PhiTerm, Tableau
 
 
@@ -87,10 +87,13 @@ def parse_tableau(text: str, name: str = "custom") -> Tableau:
         if not 1 <= i <= s:
             raise TableauParseError(0, 0, f"b[{i}] outside stage range 1..{s}")
     empty = PhiCombo(terms=())
-    return Tableau(
-        name=name, c=c, a=a,
-        b=tuple(b.get(i, empty) for i in range(1, s + 1)),
-    )
+    try:
+        return Tableau(
+            name=name, c=c, a=a,
+            b=tuple(b.get(i, empty) for i in range(1, s + 1)),
+        )
+    except ContractError as exc:  # e.g. a[i][j] outside the stages, or a scale outside [0, 1]
+        raise TableauParseError(0, 0, str(exc)) from exc
 
 
 def load_tableau(path) -> Tableau:

@@ -15,7 +15,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .matfuncs import phi_matrix, phi_values
+from .matfuncs import phi_matrix
 
 
 @dataclass(frozen=True)
@@ -28,17 +28,6 @@ class PhiTerm:
 @dataclass(frozen=True)
 class PhiCombo:
     terms: Tuple[PhiTerm, ...]
-
-    def eval_scalar(self, z: float) -> float:
-        return float(sum(t.weight * phi_values(t.order, t.scale * z) for t in self.terms))
-
-    def eval_spectral(self, z):
-        """Vectorized evaluation on an array of (real) arguments."""
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        for t in self.terms:
-            out += t.weight * phi_values(t.order, t.scale * z)
-        return out
 
     def eval_matrix(self, Z, method="auto"):
         Z = np.asarray(Z, dtype=float)

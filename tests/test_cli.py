@@ -1,5 +1,7 @@
 """CLI behavior: subcommands, config merging, exit codes, diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,11 @@ def test_convergence_missing_config_exit_2(tmp_path, capsys):
 def test_convergence_short_tau_list_exit_2(capsys):
     code, _, stderr = run(["convergence", "--tau-list", "0.25,0.125"], capsys)
     assert code == 2 and "tau_list" in stderr
+
+
+def test_convergence_duplicate_tau_exit_2(capsys):
+    code, _, stderr = run(["convergence", "--tau-list", "0.5,0.5,0.25,0.125"], capsys)
+    assert code == 2 and "strictly decreasing" in stderr
 
 
 def test_convergence_unknown_config_key_names_it(tmp_path, capsys):
@@ -220,6 +227,19 @@ def test_parse_tableau_reports_line_and_column():
 def test_parse_tableau_missing_nodes():
     with pytest.raises(TableauParseError):
         parse_tableau("b[1] = scale:1 phi:1 w:1\n")
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("c = 0,0.5\na[3][1] = scale:1 phi:1 w:1\n", "a[3][1]"),
+    ("c = 0\nb[1] = scale:2 phi:1 w:1\n", "scale 2"),
+], ids=["stage-out-of-range", "scale-out-of-range"])
+def test_structurally_bad_tableau_exit_2(tmp_path, capsys, text, fragment):
+    path = tmp_path / "bad.tab"
+    path.write_text(text)
+    with pytest.raises(TableauParseError, match=re.escape(fragment)):
+        parse_tableau(text)
+    code, _, stderr = run(["check-order", "--tableau", str(path)], capsys)
+    assert code == 2 and fragment in stderr
 
 
 def test_missing_tableau_file_exit_2(tmp_path, capsys):

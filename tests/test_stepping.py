@@ -95,6 +95,37 @@ def test_one_step_local_orders_scalar():
         assert fitted_order(taus, errs) == pytest.approx(local, abs=0.15)
 
 
+def stage_recurrence_step(tab, ops, tau, u):
+    """One step as the vector stage recurrence, coefficients from PhiCombo.eval_matrix."""
+    Z = -tau * np.asarray(ops.A, dtype=float)
+    B = np.asarray(ops.B, dtype=float)
+    Bu = [B @ u]
+    for i in range(2, tab.s + 1):
+        Ui = expm(tab.c[i - 1] * Z) @ u
+        for j in range(1, i):
+            if (i, j) in tab.a:
+                Ui = Ui + tau * (tab.a[(i, j)].eval_matrix(Z) @ Bu[j - 1])
+        Bu.append(B @ Ui)
+    out = expm(Z) @ u
+    for bi, Bui in zip(tab.b, Bu):
+        out = out + tau * (bi.eval_matrix(Z) @ Bui)
+    return out
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["testbed", "nonsym-split"])
+def test_propagator_matches_stage_recurrence(split):
+    g = build_grid(15)
+    ops = build_operators(g, 0.2)
+    if split:  # A' = A - B/2 is not symmetric: the augmented expm/phi path
+        ops = OperatorPair(A=ops.A - ops.B / 2, B=ops.B / 2, nu=ops.nu)
+    u = initial_data(g)
+    tau = 0.02
+    for tab in (exponential_euler(), second_order(0.5), third_order()):
+        got = Stepper(tab, ops, tau).step(u)
+        want = stage_recurrence_step(tab, ops, tau, u)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_cached_stepper_matches_per_call_recomputation():
     g = build_grid(15)
     ops = build_operators(g, 0.2)
@@ -211,6 +242,22 @@ def test_spectral_radius_estimate_testbed():
     rho = spectral_radius_estimate(ops.A - ops.B)
     gershgorin = 4.0 * 0.2 / g.h ** 2
     assert rho == pytest.approx(gershgorin, rel=0.05)
+
+
+def test_rk4_reference_matches_exact_exponential():
+    g = build_grid(399)
+    ops = build_operators(g, 0.2)
+    u0 = initial_data(g)
+    u = solve_reference_rk4(ops, u0, 1.0, default_reference_step(ops, 1.0))
+    exact = expm(ops.B - ops.A) @ u0
+    assert np.abs(u - exact).max() <= 1e-11
+
+
+def test_spectral_radius_estimate_is_upper_bound():
+    g = build_grid(399)
+    ops = build_operators(g, 0.2)
+    L = ops.A - ops.B
+    assert spectral_radius_estimate(L) >= np.abs(np.linalg.eigvals(L)).max()
 
 
 def test_default_reference_step_bounds():
