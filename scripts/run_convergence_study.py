@@ -4,8 +4,15 @@
 Writes one CSV per scheme into results/ and prints the fitted orders.
 """
 
+import os
 import pathlib
 import sys
+
+# One BLAS thread, set before numpy loads, so the CSV bytes do not depend on
+# the core count (the variable list of perfbench/run.py).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 from exprk.convergence import ExperimentSpec, emit_csv, run_experiment
 

@@ -6,8 +6,15 @@ relative boundedness of advection by fractional diffusion powers, and the
 Fourier partial-sum boundedness study for both coefficient rules.
 """
 
+import os
 import pathlib
 import sys
+
+# One BLAS thread, set before numpy loads, so the CSV bytes do not depend on
+# the core count (the variable list of perfbench/run.py).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 from exprk.discretize import build_grid, build_operators
 from exprk.probes import (DEFAULT_FOURIER_LENGTHS, DEFAULT_RELBOUND_SIZES,

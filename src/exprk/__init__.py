@@ -1,7 +1,7 @@
 """Exponential Runge-Kutta methods for stiff linear evolution equations.
 
 Library layout:
-  matfuncs         matrix exponential, phi functions, augmented-matrix kernel
+  matfuncs         matrix exponential, phi functions and matrices, augmented-matrix kernel
   discretize       1D advection-diffusion testbed and discrete norms
   tableaus         phi-combination tableaus and the built-in schemes
   stepping         one-matrix step propagator, solve, RK4 reference

@@ -1,10 +1,10 @@
 """Dense matrix-function kernel.
 
 Provides the matrix exponential (scaling-and-squaring with a diagonal
-Pade approximant of order 13), the phi functions phi_k in scalar and
-matrix form, the augmented-matrix evaluation of linear combinations
-sum_i phi_i(M) v_i as a single exponential, and a symmetric
-eigendecomposition with fractional powers.
+Pade approximant of order 13), the phi functions phi_k for scalars and
+(in phi_matrices, the one evaluator of phi matrices) for matrices, the
+augmented-matrix evaluation of sum_i phi_i(M) v_i as a single exponential,
+and a symmetric eigendecomposition with fractional powers.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ def _as_square(M, name="matrix"):
 
 
 def is_symmetric(M, rtol=1e-12):
-    M = np.asarray(M)
-    if M.shape[0] != M.shape[1]:
-        return False
     scale = np.abs(M).max()
     if scale == 0.0:
         return True
@@ -80,6 +77,11 @@ def expm(M):
     return E
 
 
+def _check_order(k):
+    if not 0 <= k <= MAX_PHI_ORDER:
+        raise ParameterError(f"phi order must be in [0, {MAX_PHI_ORDER}], got {k}")
+
+
 def phi_values(k: int, z):
     """phi_k evaluated elementwise on a scalar or array argument.
 
@@ -87,8 +89,7 @@ def phi_values(k: int, z):
     Taylor series sum_j z^j / (j+k)! below that, where the recursion
     would cancel catastrophically.
     """
-    if not 0 <= k <= MAX_PHI_ORDER:
-        raise ParameterError(f"phi order must be in [0, {MAX_PHI_ORDER}], got {k}")
+    _check_order(k)
     z = np.asarray(z, dtype=float)
     if k == 0:
         return np.exp(z)
@@ -136,29 +137,51 @@ def phi_combination(M, vs):
     return expm(aug)[:n, -1]
 
 
-def phi_matrix(k: int, M, method="auto"):
-    """phi_k(M) as a dense matrix.
+def _phi_upto(X, kmax):
+    """[phi_0(X), ..., phi_kmax(X)] by scaling and doubling (Skaflestad & Wright 2009).
 
-    method: 'auto' uses the eigendecomposition when M is symmetric and
-    the augmented-matrix device columnwise otherwise; 'eigen' and
-    'augmented' force a path (useful for cross-validation).
+    At Y = X / 2^s with ||Y||_1 <= 1, one Horner pass gives the Taylor sum of
+    phi_kmax(Y) and then phi_j = Y phi_{j+1} + I/j!; s doublings phi_j(2Y) =
+    2^-j (phi_0 phi_j + sum_{i=1..j} phi_i / (j-i)!) return to X, and phi_0
+    is replaced by the more accurate expm(X).
+    """
+    I = np.eye(X.shape[0])
+    s = max(0, math.ceil(math.log2(np.linalg.norm(X, 1) or 1.0)))
+    Y = X / 2.0 ** s
+    P, phis = np.zeros_like(Y), []
+    for j in range(kmax + _PHI_TAYLOR_TERMS - 1, -1, -1):
+        P = Y @ P + I / math.factorial(j)
+        if j <= kmax:
+            phis.insert(0, P)
+    for _ in range(s):
+        phis = [(phis[0] @ phis[j]
+                 + sum(phis[i] / math.factorial(j - i) for i in range(1, j + 1))) / 2.0 ** j
+                for j in range(kmax + 1)]
+    phis[0] = expm(X)
+    return phis
+
+
+def phi_matrices(M, keys):
+    """{(k, t): phi_k(t M)} for every key (k, t) in keys.
+
+    A symmetric M = Q diag(lam) Q^T gives Q diag(phi_k(t lam)) Q^T from one
+    eigh; otherwise each distinct t takes one _phi_upto for all its orders.
     """
     M = _as_square(M)
-    if not 0 <= k <= MAX_PHI_ORDER:
-        raise ParameterError(f"phi order must be in [0, {MAX_PHI_ORDER}], got {k}")
-    if k == 0:
-        return expm(M)
-    if method not in ("auto", "eigen", "augmented"):
-        raise ParameterError(f"unknown method {method!r}")
-    if method == "eigen" or (method == "auto" and is_symmetric(M)):
-        if not is_symmetric(M):
-            raise ContractError("eigen path requires a symmetric matrix")
+    keys = set(keys)
+    for k, _ in keys:
+        _check_order(k)
+    if is_symmetric(M):
         lam, Q = np.linalg.eigh(M)
-        return (Q * phi_values(k, lam)) @ Q.T
-    n = M.shape[0]
-    zeros = [np.zeros(n)] * (k - 1)
-    cols = [phi_combination(M, zeros + [e]) for e in np.eye(n)]
-    return np.column_stack(cols)
+        return {(k, t): (Q * phi_values(k, t * lam)) @ Q.T for k, t in keys}
+    kmax = {t: max(k for k, tk in keys if tk == t) for _, t in keys}
+    phis = {t: _phi_upto(t * M, k) for t, k in kmax.items()}
+    return {(k, t): phis[t][k] for k, t in keys}
+
+
+def phi_matrix(k: int, M):
+    """phi_k(M) as a dense matrix (see phi_matrices)."""
+    return phi_matrices(M, [(k, 1.0)])[k, 1.0]
 
 
 @dataclass(frozen=True)
@@ -182,10 +205,10 @@ def sym_eigen(M) -> SymEigen:
 
 
 def frac_power(E: SymEigen, gamma: float):
-    """Q diag(lambda^gamma) Q^T; requires positive spectrum for non-integral gamma."""
+    """Q diag(lambda^gamma) Q^T; needs a positive spectrum for non-integral gamma
+    and a nonsingular matrix for negative gamma."""
     lam = E.eigenvalues
-    if gamma != int(gamma) and lam.min() <= 0.0:
-        raise DomainError(
-            f"fractional power {gamma} undefined: smallest eigenvalue {lam.min():g} <= 0")
+    if (gamma != int(gamma) and lam.min() <= 0.0) or (gamma < 0 and np.any(lam == 0.0)):
+        raise DomainError(f"power {gamma} undefined: smallest eigenvalue {lam.min():g} <= 0")
     Q = E.eigenvectors
     return (Q * lam ** gamma) @ Q.T

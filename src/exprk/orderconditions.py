@@ -14,6 +14,7 @@ only the b_i are evaluated at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -74,42 +75,28 @@ def check_condition(tableau: Tableau, no: int, Z=None, J=None,
             return tableau.b[i - 1].at_zero() * I
         return tableau.b[i - 1].eval_matrix(Z)
 
-    def amat(i, j):
-        combo = tableau.a.get((i, j))
-        return None if combo is None else combo.eval_matrix(Z)
-
-    if no == 1:
-        lhs = sum((bmat(i) for i in range(1, s + 1)), np.zeros((n, n)))
-        rhs = phi_matrix(1, Z)
-        return {0: (_inf_norm(lhs - rhs), _inf_norm(rhs))}
-    if no == 2:
-        lhs = sum((c[i - 1] * bmat(i) for i in range(2, s + 1)), np.zeros((n, n)))
-        rhs = phi_matrix(2, Z)
+    if no in (1, 2, 4):
+        # sum_i c_i^p / p! b_i(Z) = phi_{p+1}(Z); the i = 1 term is zero for p > 0.
+        p = {1: 0, 2: 1, 4: 2}[no]
+        lhs = sum((c[i - 1] ** p / math.factorial(p) * bmat(i) for i in range(1, s + 1)),
+                  np.zeros((n, n)))
+        rhs = phi_matrix(p + 1, Z)
         return {0: (_inf_norm(lhs - rhs), _inf_norm(rhs))}
     if no == 3:
         out = {}
         for i in range(2, s + 1):
-            lhs = np.zeros((n, n))
-            for j in range(1, i):
-                aij = amat(i, j)
-                if aij is not None:
-                    lhs += aij
+            terms = (tableau.a[i, j].eval_matrix(Z) for j in range(1, i) if (i, j) in tableau.a)
+            lhs = sum(terms, np.zeros((n, n)))
             rhs = c[i - 1] * phi_matrix(1, c[i - 1] * Z)
             out[i] = (_inf_norm(lhs - rhs), _inf_norm(rhs))
         return out
-    if no == 4:
-        lhs = sum((0.5 * c[i - 1] ** 2 * bmat(i) for i in range(2, s + 1)),
-                  np.zeros((n, n)))
-        rhs = phi_matrix(3, Z)
-        return {0: (_inf_norm(lhs - rhs), _inf_norm(rhs))}
     # condition 5
     lhs = np.zeros((n, n))
     for i in range(2, s + 1):
         bracket = -c[i - 1] ** 2 * phi_matrix(2, c[i - 1] * Z)
         for k in range(2, i):
-            aik = tableau.a.get((i, k))
-            if aik is not None:
-                bracket = bracket + c[k - 1] * aik.eval_matrix(Z)
+            if (i, k) in tableau.a:
+                bracket = bracket + c[k - 1] * tableau.a[i, k].eval_matrix(Z)
         lhs += bmat(i) @ J @ bracket
     return {0: (_inf_norm(lhs), 0.0)}
 

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import discretize
+from .convergence import write_csv
 from .errors import ParameterError
 from .matfuncs import frac_power, sym_eigen
 
@@ -47,8 +48,7 @@ class ProbeReport:
             lines.append(f"{g:.17g},{v:.17g}")
         lines.append(f"# verdict={'bounded' if self.bounded else 'unbounded'} "
                      f"max={self.max_value:.17g} label={self.label}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv("\n".join(lines) + "\n", path)
 
 
 def _report(grid, values, label):

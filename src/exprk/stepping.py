@@ -3,10 +3,10 @@
 The problem u' + Au = Bu is linear and autonomous, so one step of an
 explicit exponential Runge-Kutta scheme is a fixed matrix R(tau). A Stepper
 builds R once per (tableau, A, tau) by running the stage recurrence on the
-identity; each step is then one matrix-vector product. For symmetric A a
-single eigendecomposition feeds every phi coefficient; otherwise each phi
-matrix is formed through the augmented-matrix kernel. The RK4 reference is
-likewise the fixed quartic P = p(tau_ref (B - A)) raised to the power N.
+identity; each step is then one matrix-vector product. The phi matrices
+the recurrence reads come from one matfuncs.phi_matrices call, which also
+decides how they are evaluated. The RK4 reference is likewise the fixed
+quartic P = p(tau_ref (B - A)) raised to the power N.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .discretize import OperatorPair
 from .errors import DimensionError, InstabilityError, ParameterError
-from .matfuncs import expm, is_symmetric, phi_matrix, phi_values
+from .matfuncs import phi_matrices
 from .tableaus import PhiCombo, Tableau
 
 RK4_STABILITY_LIMIT = 2.7  # inside the real-axis stability interval (~2.785)
@@ -45,42 +45,27 @@ class Stepper:
         if A.shape != (n, n) or B.shape != (n, n):
             raise DimensionError("operator matrices must be square and equally sized")
 
-        if is_symmetric(A):
-            lam, Q = np.linalg.eigh(A)
-            z = -tau * lam
-
-            def phi_mat(order, scale):
-                return (Q * phi_values(order, scale * z)) @ Q.T
-        else:
-            def phi_mat(order, scale):
-                arg = -scale * tau * A
-                return expm(arg) if order == 0 else phi_matrix(order, arg)
-
-        cache = {}
-
-        def get(order, scale):
-            key = (order, scale)
-            if key not in cache:
-                cache[key] = phi_mat(order, scale)
-            return cache[key]
+        # Every phi matrix the recurrence reads, phi_k(-scale * tau * A), from one call.
+        combos = list(tableau.a.values()) + list(tableau.b)
+        keys = {(0, -tau)} | {(0, -c * tau) for c in tableau.c if c != 0.0}
+        keys |= {(t.order, -t.scale * tau) for combo in combos for t in combo.terms}
+        phi = phi_matrices(A, keys)
 
         def combo_matrix(combo: PhiCombo):
-            out = np.zeros((n, n))
-            for t in combo.terms:
-                out += t.weight * get(t.order, t.scale)
-            return out
+            return sum((t.weight * phi[t.order, -t.scale * tau] for t in combo.terms),
+                       np.zeros((n, n)))
 
         # The stage recurrence with the identity as the state: U_i is the
         # matrix taking u to stage i, and BU[i - 1] = B U_i.
         BU = [B]  # U_1 = I since c_1 = 0
         for i in range(2, tableau.s + 1):
             ci = tableau.c[i - 1]
-            Ui = get(0, ci) if ci != 0.0 else np.eye(n)
+            Ui = phi[0, -ci * tau] if ci != 0.0 else np.eye(n)
             for j in range(1, i):
                 if (i, j) in tableau.a:
                     Ui = Ui + tau * (combo_matrix(tableau.a[(i, j)]) @ BU[j - 1])
             BU.append(B @ Ui)
-        R = get(0, 1.0)
+        R = phi[0, -tau]
         for bi, BUi in zip(tableau.b, BU):
             R = R + tau * (combo_matrix(bi) @ BUi)
         self.R = R

@@ -15,7 +15,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .matfuncs import phi_matrix
+from .matfuncs import phi_matrices
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,10 @@ class PhiTerm:
 class PhiCombo:
     terms: Tuple[PhiTerm, ...]
 
-    def eval_matrix(self, Z, method="auto"):
-        Z = np.asarray(Z, dtype=float)
-        out = np.zeros_like(Z)
-        for t in self.terms:
-            out += t.weight * phi_matrix(t.order, t.scale * Z, method=method)
-        return out
+    def eval_matrix(self, Z):
+        phi = phi_matrices(Z, {(t.order, t.scale) for t in self.terms})
+        return sum((t.weight * phi[t.order, t.scale] for t in self.terms),
+                   np.zeros(np.shape(Z)))
 
     def at_zero(self) -> float:
         """Classical (A = 0) weight: phi_k(0) = 1/k!."""

@@ -1,5 +1,6 @@
 """Kernel tests: independent oracles for exp, phi, and the augmented matrix."""
 
+import decimal
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exprk.errors import ContractError, DimensionError, DomainError
-from exprk.matfuncs import (SymEigen, expm, frac_power, phi_combination,
-                            phi_matrix, phi_scalar, phi_values, sym_eigen)
+from exprk.errors import ContractError, DimensionError, DomainError, ParameterError
+from exprk.matfuncs import (MAX_PHI_ORDER, SymEigen, expm, frac_power, phi_combination,
+                            phi_matrices, phi_matrix, phi_scalar, phi_values, sym_eigen)
 
 
 # ---------------------------------------------------------------- oracles
@@ -121,7 +122,6 @@ def test_phi_recursion_property(z, k):
 
 
 def test_phi_order_limits():
-    from exprk.errors import ParameterError
     with pytest.raises(ParameterError):
         phi_scalar(9, 1.0)
 
@@ -146,14 +146,55 @@ def test_phi_matrix_defining_identity():
     assert resid <= 1e-10
 
 
-def test_phi_matrix_paths_agree_on_spd():
+def test_phi_matrix_similarity_crosses_paths():
+    # D M D^-1 is not symmetric, so its phi goes through Taylor-and-doubling
+    # while phi(M) takes the eigendecomposition; both sides must agree.
     rng = np.random.default_rng(9)
     S = rng.standard_normal((6, 6))
     M = -(S @ S.T + np.eye(6))  # negated SPD, the stepping-relevant sign
-    for k in (1, 2, 3):
-        via_eigen = phi_matrix(k, M, method="eigen")
-        via_aug = phi_matrix(k, M, method="augmented")
-        assert np.abs(via_eigen - via_aug).max() <= 1e-9 * max(1.0, np.abs(via_eigen).max())
+    d = rng.uniform(0.5, 2.0, 6)
+    for k in range(9):
+        via_eigen = d[:, None] * phi_matrix(k, M) / d
+        via_doubling = phi_matrix(k, d[:, None] * M / d)
+        assert np.abs(via_eigen - via_doubling).max() <= 1e-9 * max(1.0, np.abs(via_eigen).max())
+
+
+def phi_decimal(k, z):
+    """phi_k(z) in 60-digit decimal arithmetic, rounded to float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        z = decimal.Decimal(float(z))
+        if abs(z) < 1:
+            return float(sum(z ** j / math.factorial(j + k) for j in range(60)))
+        head = sum(z ** j / math.factorial(j) for j in range(k))
+        return float((z.exp() - head) / z ** k)
+
+
+def test_phi_matrices_nonsymmetric_against_decimal_oracle():
+    # M = S diag(d) S^-1 with cond(S) = 2, so phi_k(M) = S diag(phi_k(d)) S^-1.
+    rng = np.random.default_rng(17)
+    n = 6
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    sigma = np.linspace(1.0, 2.0, n)
+    S, S_inv = (U * sigma) @ V.T, (V / sigma) @ U.T
+    for top in (1e-2, 1.0, 1e2, 1e4):
+        d = -top * np.geomspace(1e-3, 1.0, n)
+        M = (S * d) @ S_inv
+        table = phi_matrices(M, {(k, 1.0) for k in range(MAX_PHI_ORDER + 1)})
+        for k in range(MAX_PHI_ORDER + 1):
+            ref = (S * [phi_decimal(k, x) for x in d]) @ S_inv
+            for got in (table[k, 1.0], phi_matrix(k, M)):
+                assert np.abs(got - ref).max() <= 2e-12 * np.abs(ref).max(), (top, k)
+
+
+def test_phi_matrices_keys_and_orders():
+    M = np.array([[-1.0, 2.0], [0.0, -3.0]])
+    table = phi_matrices(M, [(0, 0.5), (2, 0.5), (1, -1.0), (2, 0.5)])
+    assert set(table) == {(0, 0.5), (2, 0.5), (1, -1.0)}
+    assert np.allclose(table[0, 0.5], expm(0.5 * M), rtol=1e-14)
+    with pytest.raises(ParameterError):
+        phi_matrices(M, [(MAX_PHI_ORDER + 1, 1.0)])
 
 
 # ------------------------------------------------------- phi_combination
@@ -259,6 +300,11 @@ def test_frac_power_domain_error():
     E = SymEigen(eigenvalues=np.array([-1.0, 2.0]), eigenvectors=np.eye(2))
     with pytest.raises(DomainError):
         frac_power(E, 0.5)
+
+
+def test_frac_power_negative_power_of_singular_matrix():
+    with pytest.raises(DomainError):
+        frac_power(sym_eigen(np.diag([0.0, 1.0, 2.0])), -1.0)
 
 
 def test_phi_values_vectorized_consistent():

@@ -202,3 +202,9 @@ def test_probe_report_csv(tmp_path):
     assert lines[0] == "grid_value,quantity"
     assert len(lines) == 5 and lines[-1].startswith("# verdict=bounded")
     assert "\r" not in text
+
+
+def test_probe_report_csv_bad_path():
+    rep = smoothing_probe(make_ops(10), 0.5, [0.25, 0.5, 1.0])
+    with pytest.raises(OSError, match="no/such/dir"):
+        rep.to_csv("/no/such/dir/out.csv")

@@ -116,7 +116,7 @@ def stage_recurrence_step(tab, ops, tau, u):
 def test_propagator_matches_stage_recurrence(split):
     g = build_grid(15)
     ops = build_operators(g, 0.2)
-    if split:  # A' = A - B/2 is not symmetric: the augmented expm/phi path
+    if split:  # A' = A - B/2 is not symmetric: the Taylor-and-doubling phi path
         ops = OperatorPair(A=ops.A - ops.B / 2, B=ops.B / 2, nu=ops.nu)
     u = initial_data(g)
     tau = 0.02
