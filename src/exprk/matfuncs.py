@@ -27,8 +27,9 @@ _PADE13 = (
 )
 _PADE13_BOUND = 5.37  # 1-norm up to which the approximant is full precision
 
-_PHI_TAYLOR_CUTOFF = 0.1
-_PHI_TAYLOR_TERMS = 20
+_PHI_TAYLOR_TERMS = 20  # Taylor terms of _phi_upto at ||Y||_1 <= 1
+_PHI_SCALAR_CUTOFF = 3.0  # phi_values sums Taylor terms below this |z|
+_PHI_SCALAR_TERMS = 40
 
 
 def _as_array(x, name="input"):
@@ -85,19 +86,19 @@ def _check_order(k):
 def phi_values(k: int, z):
     """phi_k evaluated elementwise on a scalar or array argument.
 
-    Uses the downward recursion from exp for |z| >= 0.1 and a truncated
-    Taylor series sum_j z^j / (j+k)! below that, where the recursion
-    would cancel catastrophically.
+    Uses the downward recursion from exp for |z| >= 3 and a truncated
+    Taylor series sum_j z^j / (j+k)! below that, where the recursion's
+    cancellation amplifies rounding by about |z|^-k.
     """
     _check_order(k)
     z = np.asarray(z, dtype=float)
     if k == 0:
         return np.exp(z)
     out = np.empty_like(z)
-    small = np.abs(z) < _PHI_TAYLOR_CUTOFF
+    small = np.abs(z) < _PHI_SCALAR_CUTOFF
     zs = z[small]
     acc = np.zeros_like(zs)
-    for j in range(_PHI_TAYLOR_TERMS - 1, -1, -1):
+    for j in range(_PHI_SCALAR_TERMS - 1, -1, -1):
         acc = acc * zs + 1.0 / math.factorial(j + k)
     out[small] = acc
     zb = z[~small]

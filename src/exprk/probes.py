@@ -135,31 +135,30 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
 
     coeffs maps an integer array of indices k to the coefficients f_k.
     The requested discrete norm of the partial sum is reported for each
-    truncation length N. The report's `bounded` is `bounded_trend` over the
-    sampled lengths, a stagnation rule and not a proof: (beta=0.49, linf,
-    1/k) reads unbounded although its series is absolutely summable.
+    truncation length N. On the grid x_j = j/(M-1), M = x_grid, cos(k pi x_j)
+    has period L = 2(M-1) in k: the coefficients are folded by k mod L and
+    each N takes one real FFT of length L (Cooley & Tukey 1965), in memory
+    O(M + largest step of N_list). The report's `bounded` is `bounded_trend`
+    over the sampled lengths, a stagnation rule and not a proof: (beta=0.49,
+    linf, 1/k) reads unbounded although its series is absolutely summable.
     """
-    if norm not in ("l1", "l2", "linf"):
+    p = {"l1": 1, "l2": 2, "linf": np.inf}.get(norm)
+    if p is None:
         raise ParameterError(f"norm must be l1, l2 or linf, got {norm!r}")
     if x_grid < 1000:
         raise ParameterError(f"need at least 1000 evaluation points, got {x_grid}")
     N_list = [int(N) for N in N_list]
+    if not N_list or N_list[0] < 1 or any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ParameterError(f"N_list must be strictly increasing and >= 1, got {N_list}")
     x = np.linspace(0.0, 1.0, x_grid)
     h = 1.0 / (x_grid - 1)
-    S = np.zeros_like(x)
+    L = 2 * (x_grid - 1)
+    folded = np.zeros(L)  # sum of a_k over k = r mod L; L is even, so r keeps k's parity
     values = []
-    k_prev = 0
-    for N in N_list:
+    for k_prev, N in zip([0] + N_list, N_list):
         k = np.arange(k_prev + 1, N + 1)
-        if k.size:
-            a = np.asarray(coeffs(k), dtype=float) * (k * np.pi) ** (2.0 * beta - 1.0)
-            odd = (k % 2 == 1)
-            S = S + np.cos(np.outer(x, k * np.pi)) @ a + 2.0 * a[odd].sum() * x - a.sum()
-        k_prev = N
-        if norm == "l1":
-            values.append(h * np.abs(S).sum())
-        elif norm == "l2":
-            values.append(float(np.sqrt(h * (S ** 2).sum())))
-        else:
-            values.append(float(np.abs(S).max()))
+        a = np.asarray(coeffs(k), dtype=float) * (k * np.pi) ** (2.0 * beta - 1.0)
+        folded += np.bincount(k % L, weights=a, minlength=L)
+        S = np.fft.rfft(folded).real + 2.0 * folded[1::2].sum() * x - folded.sum()
+        values.append(h ** (1.0 / p) * np.linalg.norm(S, p))  # h-weighted l1, l2; max
     return _report(N_list, values, f"fourier beta={beta:g} norm={norm}")

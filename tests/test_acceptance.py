@@ -240,6 +240,19 @@ def test_criterion_8_negative_control():
                    f"{rising}")
 
 
+def test_criterion_8_tail_diagnostic():
+    """Far past the sampled range, (0.49, linf, 1/k) stays below its B(2^14)."""
+    lengths = [2 ** j for j in range(6, 23)]
+    rep = probes.fourier_beta_probe(probes.worst_case_coefficients, 0.49,
+                                    lengths, "linf", x_grid=FOURIER_POINTS)
+    at = lengths.index(FOURIER_LENGTHS[-1])
+    B = tail_certificates(rep, 0.49, 1.0, 1.0)[at]
+    ok = bool(np.all(rep.values <= B))
+    assert verdict("8 tail", ok,
+                   f"(0.49, linf, 1/k) sampled linf {rep.values[at]:.3f} at N=2^14 -> "
+                   f"{rep.values[-1]:.3f} at N=2^22, all <= B(2^14)={B:.4g}: {ok}")
+
+
 def test_criterion_9_determinism(testbed_runs):
     identical = {}
     for scheme, (report, csv_text, _) in testbed_runs.items():

@@ -170,6 +170,16 @@ def phi_decimal(k, z):
         return float((z.exp() - head) / z ** k)
 
 
+def test_phi_values_against_decimal_oracle():
+    # |z| from 1e-4 to 100 on both sides, with points around the Taylor cutoff 3
+    mag = np.concatenate([np.geomspace(1e-4, 100.0, 60), [2.999, 3.0, 3.001]])
+    z = np.concatenate([-mag, mag])
+    for k in range(MAX_PHI_ORDER + 1):
+        ref = np.array([phi_decimal(k, x) for x in z])
+        err = np.abs(phi_values(k, z) - ref) / np.abs(ref)
+        assert err.max() <= 1e-13, (k, z[err.argmax()], err.max())
+
+
 def test_phi_matrices_nonsymmetric_against_decimal_oracle():
     # M = S diag(d) S^-1 with cond(S) = 2, so phi_k(M) = S diag(phi_k(d)) S^-1.
     rng = np.random.default_rng(17)

@@ -181,6 +181,48 @@ def test_fourier_probe_smooth_data_bounded():
     assert rep.bounded
 
 
+def direct_fourier_values(coeffs, beta, N_list, norm, x_grid):
+    """The probe's former direct sum, cos(outer(x, k pi)) @ a, as an oracle.
+
+    Blocks of k are cut to at most 1024 indices to bound the oracle's memory.
+    """
+    x = np.linspace(0.0, 1.0, x_grid)
+    h = 1.0 / (x_grid - 1)
+    S = np.zeros_like(x)
+    values = []
+    k_prev = 0
+    for N in N_list:
+        for lo in range(k_prev + 1, N + 1, 1024):
+            k = np.arange(lo, min(lo + 1024, N + 1))
+            a = coeffs(k) * (k * np.pi) ** (2.0 * beta - 1.0)
+            S = S + np.cos(np.outer(x, k * np.pi)) @ a + 2.0 * a[k % 2 == 1].sum() * x - a.sum()
+        k_prev = N
+        values.append({"l1": h * np.abs(S).sum(), "l2": np.sqrt(h * (S ** 2).sum()),
+                       "linf": np.abs(S).max()}[norm])
+    return np.array(values)
+
+
+@pytest.mark.parametrize("x_grid", [1000, 1001, 2048])
+@pytest.mark.parametrize("coeffs", [sine_coefficients_initial_data, worst_case_coefficients])
+@pytest.mark.parametrize("beta,norm", [(-0.01, "l1"), (0.24, "l2"), (0.49, "linf")])
+def test_fourier_probe_fold_matches_direct_sum(x_grid, coeffs, beta, norm):
+    # cos(k pi x_j) has period L = 2(x_grid - 1) in k; N runs past 2L, so
+    # the fold wraps twice, with lengths on either side of the first wrap.
+    L = 2 * (x_grid - 1)
+    N_list = [3, 64, L - 1, L, L + 1, 2 * L + 5]
+    rep = fourier_beta_probe(coeffs, beta, N_list, norm, x_grid=x_grid)
+    oracle = direct_fourier_values(coeffs, beta, N_list, norm, x_grid)
+    assert np.allclose(rep.values, oracle, rtol=1e-12, atol=0.0)
+
+
+def test_fourier_probe_validates_N_list_before_summing():
+    def never(k):
+        raise AssertionError("coefficients evaluated before N_list was checked")
+    for N_list in ([0, 8], [-4], [16, 8], [8, 8], []):
+        with pytest.raises(ParameterError, match="N_list"):
+            fourier_beta_probe(never, 0.4, N_list)
+
+
 def test_fourier_probe_rejects_bad_args():
     co = sine_coefficients_initial_data
     with pytest.raises(ParameterError):
