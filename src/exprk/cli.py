@@ -113,7 +113,6 @@ def cmd_convergence(args) -> int:
         n_inner=cfg.n, nu=cfg.nu, T=cfg.T, scheme=cfg.scheme, c=cfg.c,
         tableau=tableau, tau_list=cfg.tau_list, tau_ref=cfg.tau_ref,
         norms=cfg.norms)
-    spec.validate()
     report = convergence.run_experiment(spec)
     convergence.emit_csv(report, cfg.out)
     for nm in report.norms:

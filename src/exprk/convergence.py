@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -164,13 +164,3 @@ def write_csv(text: str, destination):
     except OSError as exc:
         raise OSError(f"cannot write report to {destination}: {exc}") from exc
 
-
-def parse_csv(text: str) -> Tuple[ConvergenceRow, ...]:
-    """Re-parse emitted data lines (round-trip check helper)."""
-    rows = []
-    for line in text.splitlines()[1:]:
-        if line.startswith("#") or not line.strip():
-            continue
-        tau, e1, e2, einf, flag = line.split(",")
-        rows.append(ConvergenceRow(float(tau), float(e1), float(e2), float(einf), flag))
-    return tuple(rows)

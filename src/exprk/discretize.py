@@ -9,10 +9,12 @@ A (discretizing -nu * d2/dx2) and a skew-symmetric advection matrix B
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
+from .matfuncs import SymEigen, is_symmetric, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,18 @@ class OperatorPair:
     A: np.ndarray  # SPD, discrete -nu * d2/dx2
     B: np.ndarray  # skew-symmetric, discrete d/dx
     nu: float
+
+    @cached_property
+    def eigen(self) -> SymEigen | None:
+        """A = Q diag(lam) Q^T by one sym_eigen, cached; None for a non-symmetric A."""
+        A = np.asarray(self.A, dtype=float)
+        return sym_eigen(A) if is_symmetric(A) else None
+
+    @cached_property
+    def B_eigen(self) -> np.ndarray:
+        """Q^T B Q, cached like eigen: A and B must not change after first use."""
+        Q = self.eigen.eigenvectors
+        return Q.T @ np.asarray(self.B, dtype=float) @ Q
 
 
 @dataclass(frozen=True)

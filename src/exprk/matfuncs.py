@@ -109,10 +109,6 @@ def phi_values(k: int, z):
     return out
 
 
-def phi_scalar(k: int, z: float) -> float:
-    return float(phi_values(k, z))
-
-
 def phi_combination(M, vs):
     """Evaluate sum_{i=1..k} phi_i(M) v_i as one matrix exponential.
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import discretize
 from .convergence import write_csv
-from .errors import ParameterError
-from .matfuncs import frac_power, sym_eigen
+from .errors import ContractError, ParameterError
+from .matfuncs import frac_power
 
 TREND_FACTOR = 1.05
 
@@ -58,11 +58,16 @@ class ProbeReport:
         write_csv("\n".join(lines) + "\n", path)
 
 
+def _check_grid(grid, name):
+    """grid as floats; ParameterError unless non-empty, positive and increasing."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size == 0 or g[0] <= 0 or np.any(np.diff(g) <= 0):
+        raise ParameterError(f"{name} must be positive and strictly increasing, got {g.tolist()}")
+    return g
+
+
 def _report(grid, values, label):
-    grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
-    if np.any(np.diff(grid) <= 0):
-        raise ParameterError("probe grid must be strictly increasing")
     return ProbeReport(grid=grid, values=values, max_value=float(values.max()),
                        bounded=bounded_trend(values), label=label)
 
@@ -76,9 +81,10 @@ def smoothing_probe(ops: discretize.OperatorPair, gamma: float,
     """
     if gamma < 0:
         raise ParameterError(f"gamma must be nonnegative, got {gamma}")
-    lam = sym_eigen(ops.A).eigenvalues
-    if lam.min() <= 0:
-        raise ParameterError("smoothing probe requires a positive definite A")
+    t_grid = _check_grid(t_grid, "t_grid")
+    if ops.eigen is None or ops.eigen.eigenvalues.min() <= 0:
+        raise ContractError("smoothing probe requires a symmetric positive definite A")
+    lam = ops.eigen.eigenvalues
     values = [float(((t * lam) ** gamma * np.exp(-t * lam)).max()) for t in t_grid]
     return _report(t_grid, values, f"smoothing gamma={gamma:g}")
 
@@ -109,11 +115,11 @@ def relative_boundedness_probe(gamma: float, n_list: Sequence[int],
     """max(||B A^-g||_2, ||A^-g B||_2) on the testbed across grid sizes."""
     if not 0.0 < gamma <= 1.0:
         raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
+    n_list = _check_grid(n_list, "n_list")
     values = []
     for n in n_list:
-        g = discretize.build_grid(int(n))
-        ops = discretize.build_operators(g, nu)
-        A_neg_g = frac_power(sym_eigen(ops.A), -gamma)
+        ops = discretize.build_operators(discretize.build_grid(int(n)), nu)
+        A_neg_g = frac_power(ops.eigen, -gamma)
         values.append(max(operator_2norm(ops.B @ A_neg_g), operator_2norm(A_neg_g @ ops.B)))
     return _report(n_list, values, f"relbound gamma={gamma:g}")
 
@@ -148,8 +154,7 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
     if x_grid < 1000:
         raise ParameterError(f"need at least 1000 evaluation points, got {x_grid}")
     N_list = [int(N) for N in N_list]
-    if not N_list or N_list[0] < 1 or any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ParameterError(f"N_list must be strictly increasing and >= 1, got {N_list}")
+    grid = _check_grid(N_list, "N_list")
     x = np.linspace(0.0, 1.0, x_grid)
     h = 1.0 / (x_grid - 1)
     L = 2 * (x_grid - 1)
@@ -161,4 +166,4 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
         folded += np.bincount(k % L, weights=a, minlength=L)
         S = np.fft.rfft(folded).real + 2.0 * folded[1::2].sum() * x - folded.sum()
         values.append(h ** (1.0 / p) * np.linalg.norm(S, p))  # h-weighted l1, l2; max
-    return _report(N_list, values, f"fourier beta={beta:g} norm={norm}")
+    return _report(grid, values, f"fourier beta={beta:g} norm={norm}")

@@ -1,26 +1,25 @@
 """Time stepping for explicit exponential Runge-Kutta schemes.
 
 The problem u' + Au = Bu is linear and autonomous, so one step of an
-explicit exponential Runge-Kutta scheme is a fixed matrix R(tau). A Stepper
-builds R once per (tableau, A, tau) by running the stage recurrence on the
-identity; each step is then one matrix-vector product. The phi matrices
-the recurrence reads come from one matfuncs.phi_matrices call, which also
-decides how they are evaluated. The RK4 reference is likewise the fixed
-quartic P = p(tau_ref (B - A)) raised to the power N.
+explicit exponential Runge-Kutta scheme is a fixed matrix R(tau), built once
+per (tableau, A, tau) by running the stage recurrence on the identity. For a
+symmetric A = Q diag(lam) Q^T it runs in A's eigenbasis (Hochbruck & Ostermann,
+Acta Numerica 2010, sec. 2), where every phi matrix is a diagonal phi_k(t lam);
+any other A takes its phi matrices from one matfuncs.phi_matrices call. The
+RK4 reference is the quartic P = p(tau_ref (B - A)) raised to the power N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .discretize import OperatorPair
 from .errors import DimensionError, InstabilityError, ParameterError
-from .matfuncs import phi_matrices
-from .tableaus import PhiCombo, Tableau
+from .matfuncs import phi_matrices, phi_values
+from .tableaus import Tableau
 
 RK4_STABILITY_LIMIT = 2.7  # inside the real-axis stability interval (~2.785)
 
@@ -30,11 +29,10 @@ class SolveResult:
     final: np.ndarray
     steps: int
     tau: float
-    trace: Optional[list] = None
 
 
 class Stepper:
-    """Single-step propagator R(tau) for one (tableau, operators, tau) triple."""
+    """Step u -> Q R Q^T u: Q is A's eigenvectors for a symmetric A, else I."""
 
     def __init__(self, tableau: Tableau, ops: OperatorPair, tau: float):
         if tau <= 0:
@@ -45,42 +43,44 @@ class Stepper:
         if A.shape != (n, n) or B.shape != (n, n):
             raise DimensionError("operator matrices must be square and equally sized")
 
-        # Every phi matrix the recurrence reads, phi_k(-scale * tau * A), from one call.
+        # Every phi_k(-scale * tau * A) the recurrence reads. In A's eigenbasis it
+        # is a diagonal, held as a column, so applying it is a row scaling.
         combos = list(tableau.a.values()) + list(tableau.b)
         keys = {(0, -tau)} | {(0, -c * tau) for c in tableau.c if c != 0.0}
         keys |= {(t.order, -t.scale * tau) for combo in combos for t in combo.terms}
-        phi = phi_matrices(A, keys)
+        if ops.eigen is not None:
+            lam, self.Q, B = ops.eigen.eigenvalues, ops.eigen.eigenvectors, ops.B_eigen
+            phi = {(k, t): phi_values(k, t * lam)[:, None] for k, t in keys}
+            apply = np.multiply
+        else:
+            self.Q, phi, apply = np.eye(n), phi_matrices(A, keys), np.matmul
+        I, zero = np.eye(n), np.zeros_like(phi[0, -tau])
 
-        def combo_matrix(combo: PhiCombo):
-            return sum((t.weight * phi[t.order, -t.scale * tau] for t in combo.terms),
-                       np.zeros((n, n)))
+        def combo(c):  # tau times the coefficient combo c
+            return sum((tau * t.weight * phi[t.order, -t.scale * tau] for t in c.terms), zero)
 
         # The stage recurrence with the identity as the state: U_i is the
         # matrix taking u to stage i, and BU[i - 1] = B U_i.
         BU = [B]  # U_1 = I since c_1 = 0
-        for i in range(2, tableau.s + 1):
-            ci = tableau.c[i - 1]
-            Ui = phi[0, -ci * tau] if ci != 0.0 else np.eye(n)
+        for i, ci in enumerate(tableau.c[1:], start=2):
+            Ui = apply(phi[0, -ci * tau], I) if ci != 0.0 else I
             for j in range(1, i):
                 if (i, j) in tableau.a:
-                    Ui = Ui + tau * (combo_matrix(tableau.a[(i, j)]) @ BU[j - 1])
+                    Ui = Ui + apply(combo(tableau.a[(i, j)]), BU[j - 1])
             BU.append(B @ Ui)
-        R = phi[0, -tau]
+        R = apply(phi[0, -tau], I)
         for bi, BUi in zip(tableau.b, BU):
-            R = R + tau * (combo_matrix(bi) @ BUi)
+            R = R + apply(combo(bi), BUi)
         self.R = R
 
-    def step(self, u):
+    def to_basis(self, u):
         u = np.asarray(u, dtype=float)
         if u.shape != self.R.shape[:1]:
-            raise DimensionError(
-                f"state length {u.shape} does not match operators ({self.R.shape[0]})")
-        return self.R @ u
+            raise DimensionError(f"state shape {u.shape} does not match operators ({len(self.R)})")
+        return self.Q.T @ u
 
-
-def step(tableau: Tableau, ops: OperatorPair, tau: float, u):
-    """One step with a freshly built Stepper."""
-    return Stepper(tableau, ops, tau).step(u)
+    def step(self, u):
+        return self.Q @ (self.R @ self.to_basis(u))
 
 
 def _check_divides(T, tau, what="tau"):
@@ -91,20 +91,16 @@ def _check_divides(T, tau, what="tau"):
     return N
 
 
-def solve(tableau: Tableau, ops: OperatorPair, u0, T: float, tau: float,
-          capture_trace: bool = False) -> SolveResult:
+def solve(tableau: Tableau, ops: OperatorPair, u0, T: float, tau: float) -> SolveResult:
     """Integrate u' = -A u + B u from 0 to T with N = T/tau steps."""
     N = _check_divides(T, tau)
     stepper = Stepper(tableau, ops, tau)
-    u = np.asarray(u0, dtype=float).copy()
-    trace = [u.copy()] if capture_trace else None
+    v = stepper.to_basis(u0)  # one map into the basis, one back
     for i in range(N):
-        u = stepper.step(u)
-        if not np.all(np.isfinite(u)):
+        v = stepper.R @ v
+        if not np.isfinite(v).all():
             raise InstabilityError(i + 1)
-        if capture_trace:
-            trace.append(u.copy())
-    return SolveResult(final=u, steps=N, tau=tau, trace=trace)
+    return SolveResult(final=stepper.Q @ v, steps=N, tau=tau)
 
 
 def spectral_radius_estimate(L) -> float:

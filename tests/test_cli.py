@@ -7,13 +7,24 @@ import pytest
 
 from exprk.cli import main
 from exprk.config import RunConfig, parse_config_text
-from exprk.convergence import parse_csv
+from exprk.convergence import ConvergenceRow
 from exprk.errors import ParameterError
 from exprk.tableau_io import TableauParseError, parse_tableau
 from exprk.tableaus import third_order
 
 FAST = ["--n", "25", "--tau-list", "0.125,0.0625,0.03125,0.015625",
         "--tau-ref", str(2.0 ** -13)]
+
+
+def parse_csv(text):
+    """The data rows of a convergence CSV, as ConvergenceRow tuples."""
+    rows = []
+    for line in text.splitlines()[1:]:
+        if line.startswith("#") or not line.strip():
+            continue
+        tau, e1, e2, einf, flag = line.split(",")
+        rows.append(ConvergenceRow(float(tau), float(e1), float(e2), float(einf), flag))
+    return tuple(rows)
 
 
 def run(argv, capsys):

@@ -7,9 +7,9 @@ import pytest
 
 from exprk.convergence import (FLAG_IDENTICAL, FLAG_OK, FLAG_UNSTABLE,
                                ConvergenceRow, ExperimentSpec, emit_csv,
-                               fit_order, parse_csv, render_csv,
-                               run_experiment)
+                               fit_order, render_csv, run_experiment)
 from exprk.errors import InsufficientDataError, ParameterError
+from test_cli import parse_csv
 
 
 def synthetic_rows(order, taus=(0.5, 0.25, 0.125, 0.0625)):

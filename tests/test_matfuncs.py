@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from exprk.errors import ContractError, DimensionError, DomainError, ParameterError
 from exprk.matfuncs import (MAX_PHI_ORDER, SymEigen, expm, frac_power, phi_combination,
-                            phi_matrices, phi_matrix, phi_scalar, phi_values, sym_eigen)
+                            phi_matrices, phi_matrix, phi_values, sym_eigen)
 
 
 # ---------------------------------------------------------------- oracles
@@ -90,17 +90,19 @@ def test_expm_large_norm_scaling():
 # ------------------------------------------------------------------- phi
 
 def test_phi_trivial_values():
-    assert phi_scalar(1, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert phi_scalar(1, 1.0) == pytest.approx(np.e - 1.0, rel=1e-14)
+    assert float(phi_values(1, 0.0)) == pytest.approx(1.0, abs=1e-15)
+    assert float(phi_values(1, 1.0)) == pytest.approx(np.e - 1.0, rel=1e-14)
     for k in range(5):
-        assert phi_scalar(k, 0.0) == pytest.approx(1.0 / math.factorial(k), rel=1e-15)
+        assert float(phi_values(k, 0.0)) == pytest.approx(1.0 / math.factorial(k),
+                                                          rel=1e-15)
 
 
 def test_phi_against_quadrature_oracle():
-    assert phi_scalar(3, -0.05) == pytest.approx(phi_quadrature(3, -0.05), abs=1e-14)
+    assert float(phi_values(3, -0.05)) == pytest.approx(phi_quadrature(3, -0.05),
+                                                        abs=1e-14)
     for k in (1, 2, 4):
         for z in (-0.3, -2.0, 0.7):
-            assert phi_scalar(k, z) == pytest.approx(phi_quadrature(k, z), abs=1e-12)
+            assert float(phi_values(k, z)) == pytest.approx(phi_quadrature(k, z), abs=1e-12)
 
 
 def test_phi_recursion_identity():
@@ -108,22 +110,22 @@ def test_phi_recursion_identity():
     zs = rng.uniform(-50.0, 0.0, size=100)
     for z in zs:
         for k in range(4):
-            pk = phi_scalar(k, z)
-            resid = abs(z * phi_scalar(k + 1, z) - (pk - 1.0 / math.factorial(k)))
+            pk = float(phi_values(k, z))
+            resid = abs(z * float(phi_values(k + 1, z)) - (pk - 1.0 / math.factorial(k)))
             assert resid <= 1e-12 * max(1.0, abs(pk))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=-50.0, max_value=-1e-6), st.integers(min_value=0, max_value=3))
 def test_phi_recursion_property(z, k):
-    pk = phi_scalar(k, z)
-    resid = abs(z * phi_scalar(k + 1, z) - (pk - 1.0 / math.factorial(k)))
+    pk = float(phi_values(k, z))
+    resid = abs(z * float(phi_values(k + 1, z)) - (pk - 1.0 / math.factorial(k)))
     assert resid <= 1e-12 * max(1.0, abs(pk))
 
 
 def test_phi_order_limits():
     with pytest.raises(ParameterError):
-        phi_scalar(9, 1.0)
+        phi_values(9, 1.0)
 
 
 # ------------------------------------------------------------ phi_matrix
@@ -135,7 +137,8 @@ def test_phi_matrix_zero_matrix():
 def test_phi_matrix_diagonal_case():
     D = np.diag([-0.3, -4.0])
     P = phi_matrix(2, D)
-    assert np.allclose(P, np.diag([phi_scalar(2, -0.3), phi_scalar(2, -4.0)]), rtol=1e-13)
+    want = [float(phi_values(2, -0.3)), float(phi_values(2, -4.0))]
+    assert np.allclose(P, np.diag(want), rtol=1e-13)
 
 
 def test_phi_matrix_defining_identity():
@@ -320,4 +323,4 @@ def test_frac_power_negative_power_of_singular_matrix():
 def test_phi_values_vectorized_consistent():
     z = np.array([-40.0, -0.05, 0.0, 0.05, 2.0])
     vec = phi_values(2, z)
-    assert np.allclose(vec, [phi_scalar(2, zi) for zi in z], rtol=1e-14)
+    assert np.allclose(vec, [float(phi_values(2, zi)) for zi in z], rtol=1e-14)

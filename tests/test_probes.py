@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from exprk import discretize
 from exprk.discretize import OperatorPair, build_grid, build_operators
 from exprk.errors import ParameterError
 from exprk.probes import (TREND_FACTOR, ProbeReport, bounded_trend,
@@ -114,6 +115,21 @@ def test_relbound_gamma_tenth_unbounded():
     rep = relative_boundedness_probe(0.1, [25, 50, 100, 200, 399])
     assert not rep.bounded
     assert rep.values[-1] > 1.5 * rep.values[0]
+
+
+def test_probes_validate_grids_before_any_work(monkeypatch):
+    ops = make_ops(10)  # built before the traps are set
+
+    def never(*args, **kwargs):
+        raise AssertionError("work done before the grid was checked")
+    monkeypatch.setattr(np.linalg, "eigh", never)
+    monkeypatch.setattr(discretize, "build_operators", never)
+    for t_grid in ([1.0, 0.5, 2.0], [0.5, 0.5], [0.0, 1.0], [-1.0, 1.0], []):
+        with pytest.raises(ParameterError, match="t_grid"):
+            smoothing_probe(ops, 0.5, t_grid)
+    for n_list in ([399, 200, 25], [25, 25], [0, 25], []):
+        with pytest.raises(ParameterError, match="n_list"):
+            relative_boundedness_probe(0.5, n_list)
 
 
 def test_relbound_rejects_bad_gamma():

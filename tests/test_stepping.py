@@ -5,9 +5,10 @@ import pytest
 
 from exprk.discretize import OperatorPair, build_grid, build_operators, initial_data
 from exprk.errors import InstabilityError, ParameterError
-from exprk.matfuncs import expm, phi_scalar
+from exprk.matfuncs import expm, phi_combination, phi_values, sym_eigen
 from exprk.stepping import (Stepper, default_reference_step, solve,
-                            solve_reference_rk4, spectral_radius_estimate, step)
+                            solve_reference_rk4, spectral_radius_estimate)
+from exprk.tableau_io import parse_tableau
 from exprk.tableaus import exponential_euler, resolve_scheme, second_order, third_order
 
 
@@ -60,8 +61,8 @@ def test_resolve_scheme_names():
 
 def test_euler_one_step_scalar_formula():
     a, b, tau = 2.0, 1.0, 0.1
-    u1 = step(exponential_euler(), scalar_ops(a, b), tau, np.array([1.0]))
-    expected = np.exp(-tau * a) + tau * phi_scalar(1, -tau * a) * b
+    u1 = Stepper(exponential_euler(), scalar_ops(a, b), tau).step(np.array([1.0]))
+    expected = np.exp(-tau * a) + tau * float(phi_values(1, -tau * a)) * b
     assert u1[0] == pytest.approx(expected, rel=1e-14)
 
 
@@ -72,7 +73,7 @@ def test_step_pure_semigroup_when_b_zero():
     u = initial_data(g)
     tau = 0.05
     for tab in (exponential_euler(), second_order(0.5), third_order()):
-        out = step(tab, ops0, tau, u)
+        out = Stepper(tab, ops0, tau).step(u)
         ref = expm(-tau * ops.A) @ u
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -81,7 +82,7 @@ def test_step_identity_when_operators_zero():
     ops = OperatorPair(A=np.zeros((3, 3)), B=np.zeros((3, 3)), nu=0.0)
     u = np.array([1.0, -2.0, 3.0])
     for tab in (exponential_euler(), second_order(0.5), third_order()):
-        assert np.allclose(step(tab, ops, 0.7, u), u, atol=1e-14)
+        assert np.allclose(Stepper(tab, ops, 0.7).step(u), u, atol=1e-14)
 
 
 def test_one_step_local_orders_scalar():
@@ -90,7 +91,7 @@ def test_one_step_local_orders_scalar():
     ops = scalar_ops(a, b)
     for tab, local in ((exponential_euler(), 2.0), (third_order(), 4.0)):
         taus = [0.05 / 2 ** k for k in range(5)]
-        errs = [abs(step(tab, ops, t, np.array([1.0]))[0] - np.exp(t * (b - a)))
+        errs = [abs(Stepper(tab, ops, t).step(np.array([1.0]))[0] - np.exp(t * (b - a)))
                 for t in taus]
         assert fitted_order(taus, errs) == pytest.approx(local, abs=0.15)
 
@@ -126,6 +127,21 @@ def test_propagator_matches_stage_recurrence(split):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["testbed", "nonsym-split"])
+def test_propagator_with_omitted_b_entry(split):
+    # a tableau file may leave b[i] out; its combo has no terms and adds nothing
+    g = build_grid(15)
+    ops = build_operators(g, 0.2)
+    if split:
+        ops = OperatorPair(A=ops.A - ops.B / 2, B=ops.B / 2, nu=ops.nu)
+    padded = parse_tableau("c = 0,0.5\na[2][1] = scale:0.5 phi:1 w:0.5\n"
+                           "b[1] = scale:1 phi:1 w:1\n")
+    u = initial_data(g)
+    got = Stepper(padded, ops, 0.02).step(u)
+    want = Stepper(exponential_euler(), ops, 0.02).step(u)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_cached_stepper_matches_per_call_recomputation():
     g = build_grid(15)
     ops = build_operators(g, 0.2)
@@ -136,9 +152,86 @@ def test_cached_stepper_matches_per_call_recomputation():
         v = u.copy()
         for _ in range(3):
             cached = stepper.step(v)
-            fresh = step(tab, ops, tau, v)
+            fresh = Stepper(tab, ops, tau).step(v)
             assert np.abs(cached - fresh).max() <= 1e-14 * max(1.0, np.abs(fresh).max())
             v = cached
+
+
+# ------------------------------------------------ closed-form testbed oracle
+
+def closed_form_eigenpairs(n, nu):
+    """A = (nu/h^2) tridiag(-1, 2, -1): lam_k = (4 nu/h^2) sin^2(k pi h/2) and
+    Q_jk = sqrt(2h) sin(j k pi h), the orthonormal DST-I basis; k ascending."""
+    h = 1.0 / (n + 1)
+    k = np.arange(1, n + 1)
+    lam = (4.0 * nu / h ** 2) * np.sin(k * np.pi * h / 2.0) ** 2
+    Q = np.sqrt(2.0 * h) * np.sin(np.outer(k, k) * np.pi * h)
+    return lam, Q
+
+
+def test_sym_eigen_matches_closed_form_testbed_spectrum():
+    ops = build_operators(build_grid(399), 0.2)
+    lam, _ = closed_form_eigenpairs(399, 0.2)
+    got = sym_eigen(ops.A).eigenvalues
+    # relative to ||A||_2 = lam_max: a backward-stable eigh errs by ~eps ||A||
+    # in every eigenvalue, so the smallest ones agree only to ~1e-11 each
+    assert np.abs(got - lam).max() <= 1e-13 * lam.max()
+
+
+def closed_form_propagator(tab, ops, tau):
+    """R(tau) by the stage recurrence on the identity, with every phi matrix
+    Q diag(phi_k(t lam)) Q^T built from the closed-form eigenpairs and the
+    scalars phi_k(t lam) from phi_combination's augmented exponential."""
+    n = ops.A.shape[0]
+    lam, Q = closed_form_eigenpairs(n, ops.nu)
+
+    def phi(k, t):
+        if k == 0:
+            d = np.exp(t * lam)
+        else:  # phi_k(diag(t lam)) applied to the ones vector
+            d = phi_combination(np.diag(t * lam), [np.zeros(n)] * (k - 1) + [np.ones(n)])
+        return (Q * d) @ Q.T
+
+    def combo(c):
+        return sum(t.weight * phi(t.order, -t.scale * tau) for t in c.terms)
+
+    BU = [ops.B]
+    for i in range(2, tab.s + 1):
+        Ui = phi(0, -tab.c[i - 1] * tau)
+        for j in range(1, i):
+            if (i, j) in tab.a:
+                Ui = Ui + tau * combo(tab.a[(i, j)]) @ BU[j - 1]
+        BU.append(ops.B @ Ui)
+    R = phi(0, -tau)
+    for bi, BUi in zip(tab.b, BU):
+        R = R + tau * combo(bi) @ BUi
+    return R
+
+
+def test_propagator_matches_closed_form_eigenbasis_build():
+    ops = build_operators(build_grid(15), 0.2)
+    tau = 0.02
+    for tab in (exponential_euler(), second_order(0.5), third_order()):
+        stepper = Stepper(tab, ops, tau)
+        got = np.column_stack([stepper.step(e) for e in np.eye(15)])
+        want = closed_form_propagator(tab, ops, tau)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_solve_similarity_crosses_paths():
+    # D A D^-1 is not symmetric, so (A', B') takes the phi_matrices path while
+    # (A, B) steps in A's eigenbasis; the two solutions differ by D exactly.
+    g = build_grid(15)
+    ops = build_operators(g, 0.2)
+    D = np.diag(1.1 ** np.arange(15))  # condition number 1.1^14 ~ 3.8
+    Dinv = np.linalg.inv(D)
+    sim = OperatorPair(A=D @ ops.A @ Dinv, B=D @ ops.B @ Dinv, nu=ops.nu)
+    assert sim.eigen is None and ops.eigen is not None
+    u0 = initial_data(g)
+    for tab in (exponential_euler(), second_order(0.5), third_order()):
+        lhs = solve(tab, sim, D @ u0, 0.5, 2.0 ** -5).final
+        rhs = D @ solve(tab, ops, u0, 0.5, 2.0 ** -5).final
+        assert np.abs(lhs - rhs).max() <= 1e-11 * np.abs(rhs).max()
 
 
 # ------------------------------------------------------------------ solve
@@ -148,7 +241,7 @@ def test_solve_single_step_equals_step():
     tab = third_order()
     u0 = np.array([1.0])
     assert solve(tab, ops, u0, 0.25, 0.25).final == pytest.approx(
-        step(tab, ops, 0.25, u0))
+        Stepper(tab, ops, 0.25).step(u0))
 
 
 def test_solve_zero_initial_data():
@@ -185,12 +278,6 @@ def test_solve_exact_on_semigroup():
         res = solve(tab, ops0, u0, 1.0, 0.125)
         ref = expm(-1.0 * ops.A) @ u0
         assert np.abs(res.final - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1e-12)
-
-
-def test_solve_trace_capture():
-    ops = scalar_ops(1.0, 0.0)
-    res = solve(exponential_euler(), ops, np.array([1.0]), 1.0, 0.25, capture_trace=True)
-    assert res.trace is not None and len(res.trace) == 5
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
