@@ -69,6 +69,26 @@ def build_operators(g: Grid1D, nu: float) -> OperatorPair:
     return OperatorPair(A=A, B=B, nu=nu)
 
 
+def exact_eigen(g: Grid1D, nu: float) -> SymEigen:
+    """A's closed-form DST-I eigenpairs: lam_k = (4 nu/h^2) sin^2(k pi h/2), ascending, and
+    Q_jk = sqrt(2h) sin(pi m/(n+1)) with m = jk mod 2(n+1) reduced before the sine."""
+    if nu <= 0:
+        raise ParameterError(f"diffusion coefficient must be positive, got {nu}")
+    n, h, k = g.n_inner, g.h, np.arange(1, g.n_inner + 1)
+    sines = np.sqrt(2.0 * h) * np.sin(np.pi / (n + 1) * np.arange(2 * (n + 1)))
+    return SymEigen(eigenvalues=(4.0 * nu / h ** 2) * np.sin(0.5 * np.pi * h * k) ** 2,
+                    eigenvectors=sines[np.outer(k, k) % (2 * (n + 1))])
+
+
+def apply_B(g: Grid1D, X) -> np.ndarray:
+    """B @ X from B's two off-diagonals; X @ B is -apply_B(g, X.T).T as B is skew."""
+    X = np.asarray(X, dtype=float)
+    BX = np.zeros_like(X)
+    BX[:-1] = X[1:]
+    BX[1:] -= X[:-1]
+    return BX / (2.0 * g.h)
+
+
 def initial_data(g: Grid1D) -> np.ndarray:
     """Parabolic bump 4 x (1 - x) sampled at the inner nodes."""
     return 4.0 * g.xs * (1.0 - g.xs)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import discretize
 from .errors import DimensionError, ParameterError
-from .matfuncs import phi_matrix
+from .matfuncs import phi_matrices
 from .tableaus import Tableau
 
 MODES = ("strong", "weak", "weak-b-only")
@@ -69,34 +69,41 @@ def check_condition(tableau: Tableau, no: int, Z=None, J=None,
         raise DimensionError(f"J shape {J.shape} does not match Z ({n}x{n})")
 
     s, c = tableau.s, tableau.c
+    p = {1: 0, 2: 1, 4: 2}.get(no)
+    # One phi_matrices call over the keys the condition reads: 1, 2, 4 read
+    # every b_i; 3 every a_ij; 5 the b_i and a_ik with i, k >= 2.
+    combos = [C for (_, k), C in tableau.a.items() if no == 3 or (no == 5 and k > 1)]
+    if no != 3 and mode != "weak-b-only":
+        combos += tableau.b[1:] if no == 5 else tableau.b
+    rhs_keys = {(p + 1, 1.0)} if p is not None else {(1 if no == 3 else 2, ci) for ci in c[1:]}
+    phi = phi_matrices(Z, rhs_keys | {(t.order, t.scale) for C in combos for t in C.terms})
 
     def bmat(i):
         if mode == "weak-b-only":
             return tableau.b[i - 1].at_zero() * I
-        return tableau.b[i - 1].eval_matrix(Z)
+        return tableau.b[i - 1].combine(phi, n)
 
-    if no in (1, 2, 4):
+    if p is not None:
         # sum_i c_i^p / p! b_i(Z) = phi_{p+1}(Z); the i = 1 term is zero for p > 0.
-        p = {1: 0, 2: 1, 4: 2}[no]
         lhs = sum((c[i - 1] ** p / math.factorial(p) * bmat(i) for i in range(1, s + 1)),
                   np.zeros((n, n)))
-        rhs = phi_matrix(p + 1, Z)
+        rhs = phi[p + 1, 1.0]
         return {0: (_inf_norm(lhs - rhs), _inf_norm(rhs))}
     if no == 3:
         out = {}
         for i in range(2, s + 1):
-            terms = (tableau.a[i, j].eval_matrix(Z) for j in range(1, i) if (i, j) in tableau.a)
+            terms = (tableau.a[i, j].combine(phi, n) for j in range(1, i) if (i, j) in tableau.a)
             lhs = sum(terms, np.zeros((n, n)))
-            rhs = c[i - 1] * phi_matrix(1, c[i - 1] * Z)
+            rhs = c[i - 1] * phi[1, c[i - 1]]
             out[i] = (_inf_norm(lhs - rhs), _inf_norm(rhs))
         return out
     # condition 5
     lhs = np.zeros((n, n))
     for i in range(2, s + 1):
-        bracket = -c[i - 1] ** 2 * phi_matrix(2, c[i - 1] * Z)
+        bracket = -c[i - 1] ** 2 * phi[2, c[i - 1]]
         for k in range(2, i):
             if (i, k) in tableau.a:
-                bracket = bracket + c[k - 1] * tableau.a[i, k].eval_matrix(Z)
+                bracket = bracket + c[k - 1] * tableau.a[i, k].combine(phi, n)
         lhs += bmat(i) @ J @ bracket
     return {0: (_inf_norm(lhs), 0.0)}
 

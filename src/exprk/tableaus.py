@@ -30,9 +30,11 @@ class PhiCombo:
     terms: Tuple[PhiTerm, ...]
 
     def eval_matrix(self, Z):
-        phi = phi_matrices(Z, {(t.order, t.scale) for t in self.terms})
-        return sum((t.weight * phi[t.order, t.scale] for t in self.terms),
-                   np.zeros(np.shape(Z)))
+        return self.combine(phi_matrices(Z, {(t.order, t.scale) for t in self.terms}), len(Z))
+
+    def combine(self, phi, n):
+        """The n x n combo from a table {(order, scale): phi_order(scale Z)}."""
+        return sum((t.weight * phi[t.order, t.scale] for t in self.terms), np.zeros((n, n)))
 
     def at_zero(self) -> float:
         """Classical (A = 0) weight: phi_k(0) = 1/k!."""

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exprk.discretize import (build_grid, build_operators, discrete_norms,
-                              initial_data)
+from exprk.discretize import (apply_B, build_grid, build_operators, discrete_norms,
+                              exact_eigen, initial_data)
 from exprk.errors import DimensionError, ParameterError
+from exprk.matfuncs import sym_eigen
 
 
 def test_build_grid_small():
@@ -54,6 +55,49 @@ def test_operator_eigenvalues_closed_form():
 def test_build_operators_rejects_nonpositive_nu():
     with pytest.raises(ParameterError):
         build_operators(build_grid(3), 0.0)
+
+
+# The closed-form DST-I eigenpairs are checked against the stencil matrix A
+# and against eigh, neither of which exact_eigen uses.
+
+@pytest.mark.parametrize("n", [25, 399])
+def test_exact_eigen_is_orthonormal(n):
+    Q = exact_eigen(build_grid(n), 0.2).eigenvectors
+    assert np.linalg.norm(Q.T @ Q - np.eye(n), 2) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [25, 399])
+def test_exact_eigen_diagonalizes_stencil_matrix(n):
+    g = build_grid(n)
+    E, A = exact_eigen(g, 0.2), build_operators(g, 0.2).A
+    lam, Q = E.eigenvalues, E.eigenvectors
+    assert np.all(np.diff(lam) > 0)
+    assert np.linalg.norm(A @ Q - Q * lam, 2) <= 1e-14 * lam.max()
+
+
+@pytest.mark.parametrize("n", [25, 399])
+def test_exact_eigen_matches_sym_eigen(n):
+    g = build_grid(n)
+    lam = exact_eigen(g, 0.2).eigenvalues
+    got = sym_eigen(build_operators(g, 0.2).A).eigenvalues
+    assert np.abs(got - lam).max() <= 1e-13 * lam.max()
+
+
+def test_exact_eigen_rejects_nonpositive_nu():
+    with pytest.raises(ParameterError):
+        exact_eigen(build_grid(3), 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 25, 399])
+def test_apply_B_matches_dense_products(n):
+    g = build_grid(n)
+    B = build_operators(g, 0.2).B
+    X = np.random.default_rng(n).standard_normal((n, 7))
+    scale = np.abs(B).max() * np.abs(X).max()
+    assert np.abs(apply_B(g, X) - B @ X).max() <= 1e-15 * scale
+    Y = X.T  # Y @ B = -(B Y^T)^T since B is skew
+    assert np.abs(-apply_B(g, Y.T).T - Y @ B).max() <= 1e-15 * scale
+    assert np.abs(apply_B(g, X[:, 0]) - B @ X[:, 0]).max() <= 1e-15 * scale
 
 
 def test_initial_data_values():

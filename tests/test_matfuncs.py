@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exprk.discretize import build_grid, build_operators, exact_eigen
 from exprk.errors import ContractError, DimensionError, DomainError, ParameterError
 from exprk.matfuncs import (MAX_PHI_ORDER, SymEigen, expm, frac_power, phi_combination,
                             phi_matrices, phi_matrix, phi_values, sym_eigen)
@@ -307,6 +308,26 @@ def test_frac_power_square_root_squares_back():
     M = S @ S.T + np.eye(6)
     R = frac_power(sym_eigen(M), 0.5)
     assert np.abs(R @ R - M).max() <= 1e-8 * np.abs(M).max()
+
+
+@pytest.mark.parametrize("n", [25, 399])
+def test_frac_power_of_exact_testbed_spectrum_inverts(n):
+    # oracle: LU inverse of the stencil matrix, which frac_power never sees
+    g = build_grid(n)
+    inv = np.linalg.inv(build_operators(g, 0.2).A)
+    got = frac_power(exact_eigen(g, 0.2), -1.0)
+    assert np.abs(got - inv).max() <= 1e-12 * np.abs(inv).max()
+
+
+@pytest.mark.parametrize("n", [25, 399])
+@pytest.mark.parametrize("gamma", [-0.5, -0.1, 0.5])
+def test_frac_power_exact_and_eigh_spectra_agree(n, gamma):
+    # eigh errs by ~eps ||A|| in every eigenvalue, a relative eps * cond(A)
+    # (~1.4e-11 at n = 399) in the smallest, which A^gamma scales by |gamma|
+    g = build_grid(n)
+    ref = frac_power(sym_eigen(build_operators(g, 0.2).A), gamma)
+    got = frac_power(exact_eigen(g, 0.2), gamma)
+    assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 def test_frac_power_domain_error():

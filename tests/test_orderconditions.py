@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from exprk import orderconditions
 from exprk.discretize import build_grid, build_operators
 from exprk.errors import DimensionError, ParameterError
 from exprk.matfuncs import phi_matrix
 from exprk.orderconditions import (PASS_TOLERANCE, check_condition,
                                    claims_satisfied, full_report,
                                    random_stable_matrix)
-from exprk.tableaus import exponential_euler, second_order, third_order
+from exprk.tableaus import PhiCombo, exponential_euler, second_order, third_order
 
 
 def make_Z(n=10, tau=0.1, nu=0.2):
@@ -36,6 +37,28 @@ def test_rejects_nonsquare_z():
 def test_rejects_mismatched_j():
     with pytest.raises(DimensionError):
         check_condition(third_order(), 5, Z=np.zeros((3, 3)), J=np.eye(2))
+
+
+@pytest.mark.parametrize("Z", [None, "random", "testbed"])
+def test_one_phi_matrices_call_per_condition(Z, monkeypatch):
+    Zm = {"random": random_stable_matrix(6, 3), "testbed": make_Z()}.get(Z)
+    calls, phi_matrices = [], orderconditions.phi_matrices
+
+    def counted(M, keys):
+        calls.append(set(keys))
+        return phi_matrices(M, keys)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a combo evaluated its own phi matrices")
+    monkeypatch.setattr(orderconditions, "phi_matrices", counted)
+    monkeypatch.setattr(PhiCombo, "eval_matrix", never)
+    tab = third_order()
+    for no in (1, 2, 3, 4, 5):
+        for mode in ("strong", "weak", "weak-b-only"):
+            check_condition(tab, no, Zm, mode=mode)
+    assert len(calls) == 15
+    assert calls[0] == {(1, 1.0), (2, 1.0), (3, 1.0)}  # condition 1: b_i and phi_1
+    assert calls[6] == {(1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0)}  # condition 3: a_ij, c_i phi_1
 
 
 # ---------------------------------------------------------- exact algebra

@@ -6,6 +6,7 @@ import pytest
 from exprk import discretize
 from exprk.discretize import OperatorPair, build_grid, build_operators
 from exprk.errors import ParameterError
+from exprk.matfuncs import frac_power, sym_eigen
 from exprk.probes import (TREND_FACTOR, ProbeReport, bounded_trend,
                           fourier_beta_probe, operator_2norm,
                           relative_boundedness_probe,
@@ -123,13 +124,36 @@ def test_probes_validate_grids_before_any_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("work done before the grid was checked")
     monkeypatch.setattr(np.linalg, "eigh", never)
-    monkeypatch.setattr(discretize, "build_operators", never)
+    for name in ("build_operators", "exact_eigen", "apply_B"):
+        monkeypatch.setattr(discretize, name, never)
     for t_grid in ([1.0, 0.5, 2.0], [0.5, 0.5], [0.0, 1.0], [-1.0, 1.0], []):
         with pytest.raises(ParameterError, match="t_grid"):
             smoothing_probe(ops, 0.5, t_grid)
     for n_list in ([399, 200, 25], [25, 25], [0, 25], []):
         with pytest.raises(ParameterError, match="n_list"):
             relative_boundedness_probe(0.5, n_list)
+
+
+def test_relbound_needs_no_eigh_and_no_dense_B(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("relbound probe reached eigh or the dense operators")
+    monkeypatch.setattr(np.linalg, "eigh", never)
+    monkeypatch.setattr(discretize, "build_operators", never)
+    rep = relative_boundedness_probe(0.5, [25, 50])
+    assert rep.values.shape == (2,) and np.all(rep.values > 0)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+def test_relbound_matches_dense_eigh_path(gamma):
+    # oracle: the dense operators, eigh and GEMMs against B
+    ns = [25, 50, 100]
+    ref = []
+    for n in ns:
+        ops = build_operators(build_grid(n), 0.2)
+        A_neg_g = frac_power(sym_eigen(ops.A), -gamma)
+        ref.append(max(operator_2norm(ops.B @ A_neg_g), operator_2norm(A_neg_g @ ops.B)))
+    got = relative_boundedness_probe(gamma, ns).values
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
 
 
 def test_relbound_rejects_bad_gamma():
