@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
+from math import log2
 
 from . import convergence, discretize, orderconditions, probes, stepping
-from .config import RunConfig, parse_config_file
+from .convergence import ExperimentSpec
 from .errors import ParameterError
 from .tableau_io import load_tableau
 from .tableaus import resolve_scheme
@@ -23,9 +22,49 @@ from .tableaus import resolve_scheme
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+DEFAULT_OUT = "convergence.csv"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def float_tuple(text: str):
+    """Comma-separated floats, e.g. '0.25,0.125'."""
+    return tuple(float(v) for v in text.split(","))
+
+
+def parse_config_text(text: str, casts, source: str = "<config>") -> dict:
+    """{key: casts[key](value)} of the `key = value` lines; `#` starts a comment.
+
+    A malformed line, an unknown key or a bad value raises ParameterError
+    naming source:line.
+    """
+    values = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{source}:{line_no}"
+        if "=" not in line:
+            raise ParameterError(f"{where}: expected 'key=value', got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in casts:
+            raise ParameterError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = casts[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{where}: bad value for {key!r}: {exc}") from exc
+    return values
+
+
+def parse_config_file(path, casts) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text, casts, source=str(path))
+
+
+def _build_parser():
+    """The parser, and the convergence settings {config key: flag action}."""
     parser = argparse.ArgumentParser(
         prog="exprk",
         description="Exponential Runge-Kutta methods for stiff linear "
@@ -33,37 +72,41 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def scheme_flags(p):
-        p.add_argument("--scheme", default=None,
-                       help=f"euler | rk2 | rk3paper (default {RunConfig.scheme})")
-        p.add_argument("--c", type=float, default=None,
-                       help=f"free node of the rk2 family (default {RunConfig.c:g})")
-        p.add_argument("--tableau", default=None,
-                       help="path to a custom tableau file (overrides --scheme)")
+        return [
+            p.add_argument("--scheme",
+                           help=f"euler | rk2 | rk3paper (default: {ExperimentSpec.scheme})"),
+            p.add_argument("--c", type=float,
+                           help=f"free node of the rk2 family (default: {ExperimentSpec.c:g})"),
+            p.add_argument("--tableau", help="path to a custom tableau file (overrides --scheme)"),
+        ]
 
     p = sub.add_parser("convergence", help="run a tau-grid convergence study",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--config", default=None, help="key=value configuration file")
-    scheme_flags(p)
-    p.add_argument("--n", type=int, default=None,
-                   help=f"inner grid points (default {RunConfig.n})")
-    p.add_argument("--nu", type=float, default=None,
-                   help=f"diffusion coefficient (default {RunConfig.nu:g})")
-    p.add_argument("--T", type=float, default=None,
-                   help=f"final time (default {RunConfig.T:g})")
-    p.add_argument("--tau-list", dest="tau_list", default=None,
-                   help="comma-separated decreasing step sizes (default 2^-4..2^-10)")
-    p.add_argument("--tau-ref", dest="tau_ref", type=float, default=None,
-                   help="reference RK4 step (default: stability-derived)")
-    p.add_argument("--out", default=None,
-                   help=f"output CSV path (default {RunConfig.out})")
+                       description="Each setting is its flag if given, else its value in "
+                       "the --config file, else the default below.")
+    p.add_argument("--config", help="key = value file; the keys are the flag names below, "
+                   "with tau_list and tau_ref for --tau-list and --tau-ref")
+    taus = ExperimentSpec.tau_list
+    settings = scheme_flags(p) + [
+        p.add_argument("--n", type=int,
+                       help=f"inner grid points (default: {ExperimentSpec.n_inner})"),
+        p.add_argument("--nu", type=float,
+                       help=f"diffusion coefficient (default: {ExperimentSpec.nu:g})"),
+        p.add_argument("--T", type=float, help=f"final time (default: {ExperimentSpec.T:g})"),
+        p.add_argument("--tau-list", type=float_tuple,
+                       help="comma-separated decreasing step sizes (default: "
+                       f"2^{log2(taus[0]):g}..2^{log2(taus[-1]):g})"),
+        p.add_argument("--tau-ref", type=float,
+                       help="reference RK4 step (default: stability-derived)"),
+        p.add_argument("--out", help=f"output CSV path (default: {DEFAULT_OUT})"),
+    ]
 
-    p = sub.add_parser("check-order", help="evaluate the stiff order conditions",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("check-order", help="evaluate the stiff order conditions")
     scheme_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for the random test matrix")
-    p.add_argument("--require-order", type=int, default=None,
-                   choices=tuple(orderconditions.ORDER_CLAIMS),
-                   help="fail unless the scheme passes all conditions of this order")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the random test matrix (default: %(default)s)")
+    p.add_argument("--require-order", type=int, choices=tuple(orderconditions.ORDER_CLAIMS),
+                   help="fail unless the scheme passes all conditions of this order "
+                   "(default: the scheme's own claims)")
 
     p = sub.add_parser("probe", help="numerical probes of the analytical bounds",
                        description="The verdict 'bounded' (exit 0, else 1) is a stagnation "
@@ -71,53 +114,59 @@ def _build_parser() -> argparse.ArgumentParser:
                        f"{probes.TREND_FACTOR:g}x "
                        "the median of the earlier ones. It is not a proof; the "
                        "fourier case --beta 0.49 --norm linf --coeffs 1/k reads "
-                       "unbounded although its series is absolutely summable.",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       "unbounded although its series is absolutely summable.")
     p.add_argument("kind", choices=("smoothing", "relbound", "fourier"))
-    p.add_argument("--gamma", type=float, default=0.5, help="fractional exponent")
-    p.add_argument("--beta", type=float, default=0.24, help="Fourier probe exponent")
+    p.add_argument("--gamma", type=float, default=0.5,
+                   help="fractional exponent (default: %(default)s)")
+    p.add_argument("--beta", type=float, default=0.24,
+                   help="Fourier probe exponent (default: %(default)s)")
     p.add_argument("--norm", default="l2", choices=("l1", "l2", "linf"),
-                   help="norm for the Fourier probe")
+                   help="norm for the Fourier probe (default: %(default)s)")
     p.add_argument("--coeffs", default="u0", choices=("u0", "1/k"),
-                   help="Fourier coefficient rule: initial-data sine series or 1/k")
-    p.add_argument("--n", type=int, default=RunConfig.n, help="testbed grid size")
-    p.add_argument("--nu", type=float, default=RunConfig.nu, help="diffusion coefficient")
-    p.add_argument("--out", default=None, help="optional CSV output path")
+                   help="Fourier coefficient rule: initial-data sine series or 1/k "
+                   "(default: %(default)s)")
+    p.add_argument("--n", type=int, default=ExperimentSpec.n_inner,
+                   help="testbed grid size (default: %(default)s)")
+    p.add_argument("--nu", type=float, default=ExperimentSpec.nu,
+                   help="diffusion coefficient (default: %(default)s)")
+    p.add_argument("--out", help="optional CSV output path")
 
-    p = sub.add_parser("solve", help="single run; prints final-state norms",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = sub.add_parser("solve", help="single run; prints final-state norms")
     scheme_flags(p)
-    p.add_argument("--n", type=int, default=RunConfig.n, help="inner grid points")
-    p.add_argument("--nu", type=float, default=RunConfig.nu, help="diffusion coefficient")
-    p.add_argument("--T", type=float, default=RunConfig.T, help="final time")
-    p.add_argument("--tau", type=float, default=2.0 ** -6, help="step size")
-    return parser
+    p.add_argument("--n", type=int, default=ExperimentSpec.n_inner,
+                   help="inner grid points (default: %(default)s)")
+    p.add_argument("--nu", type=float, default=ExperimentSpec.nu,
+                   help="diffusion coefficient (default: %(default)s)")
+    p.add_argument("--T", type=float, default=ExperimentSpec.T,
+                   help="final time (default: %(default)s)")
+    p.add_argument("--tau", type=float, default=2.0 ** -6, help="step size (default: %(default)s)")
+    return parser, {action.dest: action for action in settings}
 
 
 def _resolve_tableau(args):
-    if getattr(args, "tableau", None):
+    if args.tableau:
         return load_tableau(args.tableau)
-    return resolve_scheme(args.scheme or RunConfig.scheme,
-                          args.c if args.c is not None else RunConfig.c)
+    return resolve_scheme(args.scheme or ExperimentSpec.scheme,
+                          ExperimentSpec.c if args.c is None else args.c)
 
 
-def cmd_convergence(args) -> int:
-    cfg = RunConfig()
+def cmd_convergence(args, settings) -> int:
+    """A setting is its flag, else its --config value, else ExperimentSpec's or DEFAULT_OUT."""
+    values = {}
     if args.config is not None:
-        cfg.apply(parse_config_file(args.config))
-    cfg.apply({k: getattr(args, k) for k in
-               ("scheme", "c", "n", "nu", "T", "tau_list", "tau_ref",
-                "out", "tableau")})
-    tableau = load_tableau(cfg.tableau) if cfg.tableau else None
-    spec = convergence.ExperimentSpec(
-        n_inner=cfg.n, nu=cfg.nu, T=cfg.T, scheme=cfg.scheme, c=cfg.c,
-        tableau=tableau, tau_list=cfg.tau_list, tau_ref=cfg.tau_ref,
-        norms=cfg.norms)
-    report = convergence.run_experiment(spec)
-    convergence.emit_csv(report, cfg.out)
-    for nm in report.norms:
+        values = parse_config_file(args.config, {key: action.type or str
+                                                 for key, action in settings.items()})
+    values.update((k, v) for k, v in vars(args).items() if k in settings and v is not None)
+    out = values.pop("out", DEFAULT_OUT)
+    if "tableau" in values:
+        values["tableau"] = load_tableau(values["tableau"])
+    if "n" in values:
+        values["n_inner"] = values.pop("n")
+    report = convergence.run_experiment(ExperimentSpec(**values))
+    convergence.emit_csv(report, out)
+    for nm in convergence.NORMS:
         print(f"fitted_order_{nm}={report.fitted_order[nm]:.6g}")
-    print(f"wrote {cfg.out}")
+    print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -125,18 +174,14 @@ def cmd_check_order(args) -> int:
     tableau = _resolve_tableau(args)
     report = orderconditions.full_report(tableau, z_seed=args.seed)
     sys.stdout.write(report.to_table())
-    if args.require_order is not None:
-        row = orderconditions.first_failure(
-            orderconditions.ORDER_CLAIMS[args.require_order], report)
-        if row is not None:
-            print(f"condition {row.condition} fails in {row.mode} form "
-                  f"(residual {row.residual:.3e})")
-            return EXIT_RUNTIME
+    claims = (tableau.claims if args.require_order is None
+              else orderconditions.ORDER_CLAIMS[args.require_order])
+    row = orderconditions.first_failure(claims, report)
+    if row is None:
         return EXIT_OK
-    ok = orderconditions.claims_satisfied(tableau, report)
-    if not ok:
-        print(f"scheme {tableau.name} violates its claimed order conditions")
-    return EXIT_OK if ok else EXIT_RUNTIME
+    print(f"condition {row.condition} fails in {row.mode} form "
+          f"(residual {row.residual:.3e})")
+    return EXIT_RUNTIME
 
 
 def cmd_probe(args) -> int:
@@ -173,10 +218,10 @@ def cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, settings = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "convergence": cmd_convergence,
+        "convergence": lambda a: cmd_convergence(a, settings),
         "check-order": cmd_check_order,
         "probe": cmd_probe,
         "solve": cmd_solve,

@@ -34,7 +34,6 @@ class ExperimentSpec:
     tableau: Optional[Tableau] = None   # overrides scheme when given
     tau_list: Tuple[float, ...] = tuple(2.0 ** -k for k in range(4, 11))
     tau_ref: Optional[float] = None     # None: stability-derived default
-    norms: Tuple[str, ...] = NORMS
 
     def validate(self):
         if len(self.tau_list) < 4:
@@ -48,9 +47,6 @@ class ExperimentSpec:
         if self.tau_ref is not None and self.tau_ref > min(self.tau_list) / 16.0:
             raise ParameterError(
                 f"tau_ref={self.tau_ref:g} must be at most min(tau_list)/16")
-        for nm in self.norms:
-            if nm not in NORMS:
-                raise ParameterError(f"unknown norm {nm!r}")
 
     def resolve_tableau(self) -> Tableau:
         return self.tableau if self.tableau is not None else resolve_scheme(self.scheme, self.c)
@@ -78,10 +74,9 @@ class ConvergenceReport:
     nu: float = 0.0
     T: float = 0.0
     tau_ref: float = 0.0
-    norms: Tuple[str, ...] = NORMS
 
 
-def fit_order(rows: Sequence[ConvergenceRow], norms: Sequence[str] = NORMS):
+def fit_order(rows: Sequence[ConvergenceRow]):
     """Least-squares slope of log(err) vs log(tau) plus pairwise log2 ratios.
 
     Flagged rows are excluded from both estimates.
@@ -92,7 +87,7 @@ def fit_order(rows: Sequence[ConvergenceRow], norms: Sequence[str] = NORMS):
             f"order fit needs >= 2 unflagged rows, got {len(usable)}")
     log_tau = np.log([r.tau for r in usable])
     fitted, pairwise = {}, {}
-    for nm in norms:
+    for nm in NORMS:
         errs = np.array([r.err(nm) for r in usable])
         fitted[nm] = float(np.polyfit(log_tau, np.log(errs), 1)[0])
         ratios = []
@@ -126,25 +121,24 @@ def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:
             rows.append(ConvergenceRow(tau, norms.l1, norms.l2, norms.linf, flag))
         except InstabilityError:
             rows.append(ConvergenceRow(tau, math.nan, math.nan, math.nan, FLAG_UNSTABLE))
-    fitted, pairwise = fit_order(rows, spec.norms) if spec.norms else ({}, {})
+    fitted, pairwise = fit_order(rows)
     return ConvergenceReport(
         rows=tuple(rows), fitted_order=fitted, pairwise_orders=pairwise,
         scheme=tableau.name, n_inner=spec.n_inner, nu=spec.nu, T=spec.T,
-        tau_ref=tau_ref, norms=tuple(spec.norms))
+        tau_ref=tau_ref)
 
 
 def render_csv(report: ConvergenceReport) -> str:
     out = io.StringIO()
     out.write("tau,err_l1,err_l2,err_linf,flag\n")
-    if report.norms:
-        for r in report.rows:
-            out.write(f"{r.tau:.17g},{r.err_l1:.17g},{r.err_l2:.17g},"
-                      f"{r.err_linf:.17g},{r.flag}\n")
-        fitted = " ".join(f"fitted_order_{nm}={report.fitted_order[nm]:.17g}"
-                          for nm in report.norms)
-        out.write(f"# {fitted}\n")
-        out.write(f"# scheme={report.scheme} n={report.n_inner} nu={report.nu:g} "
-                  f"T={report.T:g} tau_ref={report.tau_ref:.17g}\n")
+    for r in report.rows:
+        out.write(f"{r.tau:.17g},{r.err_l1:.17g},{r.err_l2:.17g},"
+                  f"{r.err_linf:.17g},{r.flag}\n")
+    fitted = " ".join(f"fitted_order_{nm}={report.fitted_order[nm]:.17g}"
+                      for nm in NORMS)
+    out.write(f"# {fitted}\n")
+    out.write(f"# scheme={report.scheme} n={report.n_inner} nu={report.nu:g} "
+              f"T={report.T:g} tau_ref={report.tau_ref:.17g}\n")
     return out.getvalue()
 
 

@@ -23,16 +23,9 @@ import numpy as np
 from . import discretize
 from .errors import DimensionError, ParameterError
 from .matfuncs import phi_matrices
-from .tableaus import Tableau
+from .tableaus import ORDER_CLAIMS, Tableau  # noqa: F401 - ORDER_CLAIMS re-exported
 
 MODES = ("strong", "weak", "weak-b-only")
-# The claims a scheme of stiff order p must satisfy; condition 5 only needs
-# to hold weakly for stiff order three.
-ORDER_CLAIMS = {
-    1: {1: "strong"},
-    2: {1: "strong", 2: "strong", 3: "strong"},
-    3: {1: "strong", 2: "strong", 3: "strong", 4: "strong", 5: "weak"},
-}
 PASS_TOLERANCE = 1e-9  # residual <= tol * (1 + ||rhs||_inf)
 
 

@@ -17,6 +17,14 @@ import numpy as np
 from .errors import ContractError, ParameterError
 from .matfuncs import phi_matrices
 
+# The claims {condition: form} a scheme of stiff order p must satisfy;
+# condition 5 only needs to hold weakly for stiff order three.
+ORDER_CLAIMS = {
+    1: {1: "strong"},
+    2: {1: "strong", 2: "strong", 3: "strong"},
+    3: {1: "strong", 2: "strong", 3: "strong", 4: "strong", 5: "weak"},
+}
+
 
 @dataclass(frozen=True)
 class PhiTerm:
@@ -88,7 +96,7 @@ def exponential_euler() -> Tableau:
         c=(0.0,),
         a={},
         b=(_combo((1.0, 1, 1.0)),),
-        claims={1: "strong"},
+        claims=ORDER_CLAIMS[1],
     )
 
 
@@ -107,7 +115,7 @@ def second_order(c: float = 0.5) -> Tableau:
             _combo((1.0, 1, 1.0), (1.0, 2, -1.0 / c)),
             _combo((1.0, 2, 1.0 / c)),
         ),
-        claims={1: "strong", 2: "strong", 3: "strong"},
+        claims=ORDER_CLAIMS[2],
     )
 
 
@@ -131,7 +139,7 @@ def third_order() -> Tableau:
             _combo((one, 2, 4.0), (one, 3, -8.0)),
             _combo((one, 2, -1.0), (one, 3, 4.0)),
         ),
-        claims={1: "strong", 2: "strong", 3: "strong", 4: "strong", 5: "weak"},
+        claims=ORDER_CLAIMS[3],
     )
 
 

@@ -1,11 +1,15 @@
 """Acceptance gate: nine criteria, one printed pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
+A last check compares the studies with the CSVs committed under results/.
 Criterion 8 decides boundedness of the Fourier partial sums by a certified
 tail bound over all truncation lengths; the probes' own bounded-trend
 verdict is printed beside it as a diagnostic only.
 """
 
+import math
+import pathlib
+import re
 import time
 
 import numpy as np
@@ -263,3 +267,39 @@ def test_criterion_9_determinism(testbed_runs):
     assert verdict(9, ok,
                    "byte-identical CSVs on rerun: "
                    + ", ".join(f"{k}={v}" for k, v in identical.items()))
+
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+# The benchmark's tolerance on a study's errors (perfbench/workloads.py).
+RESULTS_RTOL, RESULTS_ATOL = 1e-6, 1e-13
+
+
+def csv_fields(text):
+    """Per line, the (key, value) of each comma- or space-separated field."""
+    return [[f.rpartition("=")[::2] for f in re.split("[ ,]", line)]
+            for line in text.splitlines()]
+
+
+def same_value(got, want):
+    """Numbers within the results tolerance; any other text equal."""
+    try:
+        return math.isclose(float(got), float(want), rel_tol=RESULTS_RTOL, abs_tol=RESULTS_ATOL)
+    except ValueError:
+        return got == want
+
+
+def test_committed_results_match(testbed_runs):
+    """Header and comment keys exactly, every number within the benchmark's tolerance."""
+    mismatched = []
+    for scheme, (_, csv_text, _) in testbed_runs.items():
+        got = csv_fields(csv_text)
+        want = csv_fields((RESULTS / f"convergence_{scheme}.csv").read_text())
+        keys = [[[k for k, _ in line] for line in fields] for fields in (got, want)]
+        same_keys = keys[0] == keys[1]
+        if not (same_keys and all(same_value(g, w) for gl, wl in zip(got, want)
+                                  for (_, g), (_, w) in zip(gl, wl))):
+            mismatched.append(scheme)
+    assert verdict("results", not mismatched,
+                   "testbed studies match results/convergence_*.csv within "
+                   f"{RESULTS_RTOL:g} rel + {RESULTS_ATOL:g} abs"
+                   + (f"; mismatched: {mismatched}" if mismatched else ""))

@@ -1,16 +1,17 @@
 """CLI behavior: subcommands, config merging, exit codes, diagnostics."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from exprk.cli import main
-from exprk.config import RunConfig, parse_config_text
+from exprk import cli
+from exprk.cli import main, parse_config_text
 from exprk.convergence import ConvergenceRow
 from exprk.errors import ParameterError
 from exprk.tableau_io import TableauParseError, parse_tableau
-from exprk.tableaus import third_order
+from exprk.tableaus import ORDER_CLAIMS, exponential_euler, third_order
 
 FAST = ["--n", "25", "--tau-list", "0.125,0.0625,0.03125,0.015625",
         "--tau-ref", str(2.0 ** -13)]
@@ -42,6 +43,18 @@ def test_help_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for name in ("convergence", "check-order", "probe", "solve"):
         assert name in out
+
+
+@pytest.mark.parametrize("command", ["convergence", "check-order", "probe", "solve"])
+def test_help_states_each_default_once(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "(default: None)" not in out
+    options = out.split("options:", 1)[1]
+    for entry in re.split(r"\n(?=  -)", options):
+        assert entry.count("default") <= 1, entry
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -141,6 +154,14 @@ def test_check_order_euler_requires_order_1(capsys):
     code, _, _ = run(["check-order", "--scheme", "euler",
                       "--require-order", "1"], capsys)
     assert code == 0
+
+
+def test_check_order_own_claims_failure_names_row(capsys, monkeypatch):
+    # euler's coefficients claiming stiff order two fail condition 2
+    overclaimed = dataclasses.replace(exponential_euler(), claims=ORDER_CLAIMS[2])
+    monkeypatch.setattr(cli, "resolve_scheme", lambda name, c: overclaimed)
+    code, stdout, _ = run(["check-order"], capsys)
+    assert code == 1 and "condition 2 fails in weak form" in stdout
 
 
 def test_check_order_unknown_scheme_exit_2(capsys):
@@ -262,21 +283,68 @@ def test_missing_tableau_file_exit_2(tmp_path, capsys):
 
 # ---------------------------------------------------------------- config
 
+CASTS = {"n": int, "scheme": str}
+
+
 def test_parse_config_text_comments_and_blank_lines():
-    values = parse_config_text("# a comment\n\nscheme = rk2  # trailing\nn=25\n")
-    assert values == {"scheme": "rk2", "n": "25"}
+    values = parse_config_text("# a comment\n\nscheme = rk2  # trailing\nn=25\n", CASTS)
+    assert values == {"scheme": "rk2", "n": 25}
 
 
 def test_parse_config_text_rejects_bad_line():
-    with pytest.raises(ParameterError, match="2"):
-        parse_config_text("n = 10\njust words\n")
+    with pytest.raises(ParameterError, match="run.cfg:2"):
+        parse_config_text("n = 10\njust words\n", CASTS, source="run.cfg")
 
 
-def test_runconfig_apply_casts_and_skips_none():
-    cfg = RunConfig().apply({"n": "25", "tau_ref": None, "norms": "l2,linf"})
-    assert cfg.n == 25 and cfg.tau_ref is None and cfg.norms == ("l2", "linf")
+# One value per config key, each different from what the FAST run uses.
+KEY_VALUES = {
+    "scheme": "euler", "c": "0.75", "n": "20", "nu": "0.1", "T": "0.5",
+    "tau_list": "0.25,0.125,0.0625,0.03125", "tau_ref": str(2.0 ** -14),
+    "out": "other.csv", "tableau": "scheme.tab",
+}
 
 
-def test_runconfig_apply_bad_value():
-    with pytest.raises(ParameterError, match="nu"):
-        RunConfig().apply({"nu": "two"})
+@pytest.mark.parametrize("key", sorted(KEY_VALUES))
+def test_config_key_equals_its_flag(tmp_path, capsys, monkeypatch, key):
+    """Setting a key in a --config file writes the bytes its flag writes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scheme.tab").write_text(RK3_FILE)
+    base = {"scheme": "rk2", "n": "25", "tau_list": "0.125,0.0625,0.03125,0.015625",
+            "tau_ref": str(2.0 ** -13), "out": "study.csv"}
+    value, flag = KEY_VALUES[key], "--" + key.replace("_", "-")
+    out = tmp_path / (value if key == "out" else base["out"])
+    flags = [arg for k, v in base.items() if k != key
+             for arg in ("--" + k.replace("_", "-"), v)]
+
+    def study(argv):
+        out.unlink(missing_ok=True)
+        code, stdout, _ = run(["convergence"] + argv + flags, capsys)
+        assert code == 0
+        return out.read_bytes(), stdout
+
+    (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+    via_file = study(["--config", "run.cfg"])
+    via_flag = study([flag, value])
+    assert via_file == via_flag
+    if key != "out":  # the value must change the study, or the test shows nothing
+        assert study([flag, base[key]] if key in base else []) != via_flag
+
+
+def test_config_file_value_is_cast(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 25\nc = 0.75\nscheme = rk2\n"
+                   "tau_list = 0.125, 0.0625, 0.03125, 0.015625\n"
+                   f"tau_ref = {2.0 ** -13}\nout = {tmp_path / 'c.csv'}\n")
+    code, _, _ = run(["convergence", "--config", str(cfg)], capsys)
+    assert code == 0
+    text = (tmp_path / "c.csv").read_text()
+    assert "scheme=rk2(c=0.75) n=25" in text and len(parse_csv(text)) == 4
+
+
+@pytest.mark.parametrize("line, key", [("nu = two", "nu"), ("norms = l2", "norms")],
+                         ids=["bad-value", "removed-key"])
+def test_config_bad_line_exit_2_names_key_and_file(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 25\n{line}\n")
+    code, _, stderr = run(["convergence", "--config", str(cfg)], capsys)
+    assert code == 2 and repr(key) in stderr and f"{cfg}:2" in stderr

@@ -43,11 +43,6 @@ def test_fit_order_insufficient_data():
         fit_order(rows)
 
 
-def test_fit_order_subset_of_norms():
-    fitted, _ = fit_order(synthetic_rows(1.5), norms=("l2",))
-    assert set(fitted) == {"l2"}
-
-
 # ----------------------------------------------------------- spec checks
 
 def test_spec_rejects_short_tau_list():
@@ -69,11 +64,6 @@ def test_spec_rejects_coarse_reference():
     with pytest.raises(ParameterError):
         ExperimentSpec(tau_list=(0.25, 0.125, 0.0625, 0.03125),
                        tau_ref=0.01).validate()
-
-
-def test_spec_rejects_unknown_norm():
-    with pytest.raises(ParameterError):
-        ExperimentSpec(norms=("l2", "sup")).validate()
 
 
 def test_spec_defaults_match_testbed():
@@ -113,12 +103,6 @@ def test_run_experiment_custom_tableau_overrides_scheme():
     assert 0.9 <= rep.fitted_order["l2"] <= 1.15
 
 
-def test_run_experiment_empty_norms_skips_fit():
-    rep = run_experiment(ExperimentSpec(scheme="euler", norms=(), **SMALL))
-    assert rep.fitted_order == {} and rep.pairwise_orders == {}
-    assert len(rep.rows) == 5
-
-
 # -------------------------------------------------------------------- CSV
 
 def test_csv_format_and_roundtrip(tmp_path):
@@ -144,13 +128,8 @@ def test_csv_preserves_17_digits():
     assert parsed == row
 
 
-def test_csv_empty_norms_header_only():
-    rep = run_experiment(ExperimentSpec(scheme="euler", norms=(), **SMALL))
-    assert render_csv(rep) == "tau,err_l1,err_l2,err_linf,flag\n"
-
-
 def test_emit_csv_bad_path():
-    rep = run_experiment(ExperimentSpec(scheme="euler", norms=(), **SMALL))
+    rep = run_experiment(ExperimentSpec(scheme="euler", **SMALL))
     with pytest.raises(OSError, match="no/such/dir"):
         emit_csv(rep, "/no/such/dir/out.csv")
 
