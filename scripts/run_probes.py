@@ -16,6 +16,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
+from exprk.convergence import ExperimentSpec
 from exprk.discretize import build_grid, build_operators
 from exprk.probes import (DEFAULT_FOURIER_LENGTHS, DEFAULT_RELBOUND_SIZES,
                           DEFAULT_SMOOTHING_TIMES, fourier_beta_probe,
@@ -34,7 +35,7 @@ def emit(report, filename):
 
 def main() -> int:
     OUT_DIR.mkdir(exist_ok=True)
-    ops = build_operators(build_grid(399), 0.2)
+    ops = build_operators(build_grid(ExperimentSpec.n_inner), ExperimentSpec.nu)
 
     for gamma in (0.25, 0.5, 0.75):
         emit(smoothing_probe(ops, gamma, DEFAULT_SMOOTHING_TIMES),

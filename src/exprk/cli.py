@@ -17,7 +17,7 @@ from . import convergence, discretize, orderconditions, probes, stepping
 from .convergence import ExperimentSpec
 from .errors import ParameterError
 from .tableau_io import load_tableau
-from .tableaus import resolve_scheme
+from .tableaus import ORDER_CLAIMS
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -63,48 +63,58 @@ def parse_config_file(path, casts) -> dict:
     return parse_config_text(text, casts, source=str(path))
 
 
+def natural(text: str) -> int:
+    """A non-negative integer, e.g. a seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+# The settings the subcommands share, {dest: (type, help)}; the flag is the dest with
+# '_' as '-', the --config key the dest. Each help states ExperimentSpec's default.
+SETTINGS = {
+    "scheme": (str, f"euler | rk2 | rk3paper (default: {ExperimentSpec.scheme})"),
+    "c": (float, f"free node of the rk2 family (default: {ExperimentSpec.c:g})"),
+    "tableau": (str, "path to a custom tableau file (overrides --scheme)"),
+    "n": (int, f"inner grid points (default: {ExperimentSpec.n_inner})"),
+    "nu": (float, f"diffusion coefficient (default: {ExperimentSpec.nu:g})"),
+    "T": (float, f"final time (default: {ExperimentSpec.T:g})"),
+    "tau_list": (float_tuple, "comma-separated decreasing step sizes (default: 2^"
+                 f"{log2(ExperimentSpec.tau_list[0]):g}..2^"
+                 f"{log2(ExperimentSpec.tau_list[-1]):g})"),
+    "tau_ref": (float, "reference RK4 step (default: stability-derived)"),
+    "out": (str, f"output CSV path (default: {DEFAULT_OUT})"),
+}
+
+
+def _add_settings(p, keys, **helps):
+    for key in keys:
+        kind, text = SETTINGS[key]
+        p.add_argument("--" + key.replace("_", "-"), type=kind, help=helps.get(key, text))
+
+
 def _build_parser():
-    """The parser, and the convergence settings {config key: flag action}."""
     parser = argparse.ArgumentParser(
         prog="exprk",
         description="Exponential Runge-Kutta methods for stiff linear "
                     "advection-diffusion problems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scheme_flags(p):
-        return [
-            p.add_argument("--scheme",
-                           help=f"euler | rk2 | rk3paper (default: {ExperimentSpec.scheme})"),
-            p.add_argument("--c", type=float,
-                           help=f"free node of the rk2 family (default: {ExperimentSpec.c:g})"),
-            p.add_argument("--tableau", help="path to a custom tableau file (overrides --scheme)"),
-        ]
-
     p = sub.add_parser("convergence", help="run a tau-grid convergence study",
                        description="Each setting is its flag if given, else its value in "
                        "the --config file, else the default below.")
+    p.set_defaults(handler=cmd_convergence)
     p.add_argument("--config", help="key = value file; the keys are the flag names below, "
                    "with tau_list and tau_ref for --tau-list and --tau-ref")
-    taus = ExperimentSpec.tau_list
-    settings = scheme_flags(p) + [
-        p.add_argument("--n", type=int,
-                       help=f"inner grid points (default: {ExperimentSpec.n_inner})"),
-        p.add_argument("--nu", type=float,
-                       help=f"diffusion coefficient (default: {ExperimentSpec.nu:g})"),
-        p.add_argument("--T", type=float, help=f"final time (default: {ExperimentSpec.T:g})"),
-        p.add_argument("--tau-list", type=float_tuple,
-                       help="comma-separated decreasing step sizes (default: "
-                       f"2^{log2(taus[0]):g}..2^{log2(taus[-1]):g})"),
-        p.add_argument("--tau-ref", type=float,
-                       help="reference RK4 step (default: stability-derived)"),
-        p.add_argument("--out", help=f"output CSV path (default: {DEFAULT_OUT})"),
-    ]
+    _add_settings(p, SETTINGS)
 
     p = sub.add_parser("check-order", help="evaluate the stiff order conditions")
-    scheme_flags(p)
-    p.add_argument("--seed", type=int, default=0,
+    p.set_defaults(handler=cmd_check_order)
+    _add_settings(p, ("scheme", "c", "tableau"))
+    p.add_argument("--seed", type=natural, default=0,
                    help="seed for the random test matrix (default: %(default)s)")
-    p.add_argument("--require-order", type=int, choices=tuple(orderconditions.ORDER_CLAIMS),
+    p.add_argument("--require-order", type=int, choices=tuple(ORDER_CLAIMS),
                    help="fail unless the scheme passes all conditions of this order "
                    "(default: the scheme's own claims)")
 
@@ -115,6 +125,7 @@ def _build_parser():
                        "the median of the earlier ones. It is not a proof; the "
                        "fourier case --beta 0.49 --norm linf --coeffs 1/k reads "
                        "unbounded although its series is absolutely summable.")
+    p.set_defaults(handler=cmd_probe)
     p.add_argument("kind", choices=("smoothing", "relbound", "fourier"))
     p.add_argument("--gamma", type=float, default=0.5,
                    help="fractional exponent (default: %(default)s)")
@@ -125,44 +136,31 @@ def _build_parser():
     p.add_argument("--coeffs", default="u0", choices=("u0", "1/k"),
                    help="Fourier coefficient rule: initial-data sine series or 1/k "
                    "(default: %(default)s)")
-    p.add_argument("--n", type=int, default=ExperimentSpec.n_inner,
-                   help="testbed grid size (default: %(default)s)")
-    p.add_argument("--nu", type=float, default=ExperimentSpec.nu,
-                   help="diffusion coefficient (default: %(default)s)")
-    p.add_argument("--out", help="optional CSV output path")
+    _add_settings(p, ("n", "nu", "out"), out="optional CSV output path")
 
     p = sub.add_parser("solve", help="single run; prints final-state norms")
-    scheme_flags(p)
-    p.add_argument("--n", type=int, default=ExperimentSpec.n_inner,
-                   help="inner grid points (default: %(default)s)")
-    p.add_argument("--nu", type=float, default=ExperimentSpec.nu,
-                   help="diffusion coefficient (default: %(default)s)")
-    p.add_argument("--T", type=float, default=ExperimentSpec.T,
-                   help="final time (default: %(default)s)")
+    p.set_defaults(handler=cmd_solve)
+    _add_settings(p, ("scheme", "c", "tableau", "n", "nu", "T"))
     p.add_argument("--tau", type=float, default=2.0 ** -6, help="step size (default: %(default)s)")
-    return parser, {action.dest: action for action in settings}
+    return parser
 
 
-def _resolve_tableau(args):
-    if args.tableau:
-        return load_tableau(args.tableau)
-    return resolve_scheme(args.scheme or ExperimentSpec.scheme,
-                          ExperimentSpec.c if args.c is None else args.c)
-
-
-def cmd_convergence(args, settings) -> int:
-    """A setting is its flag, else its --config value, else ExperimentSpec's or DEFAULT_OUT."""
+def resolve_spec(args) -> ExperimentSpec:
+    """ExperimentSpec of a subcommand's settings, each its flag if given, else its --config
+    file value, else ExperimentSpec's default; args.out is set to the resolved --out."""
     values = {}
-    if args.config is not None:
-        values = parse_config_file(args.config, {key: action.type or str
-                                                 for key, action in settings.items()})
-    values.update((k, v) for k, v in vars(args).items() if k in settings and v is not None)
-    out = values.pop("out", DEFAULT_OUT)
+    if getattr(args, "config", None) is not None:
+        values = parse_config_file(args.config, {k: kind for k, (kind, _) in SETTINGS.items()})
+    values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
+    args.out = values.pop("out", None)
     if "tableau" in values:
         values["tableau"] = load_tableau(values["tableau"])
-    if "n" in values:
-        values["n_inner"] = values.pop("n")
-    report = convergence.run_experiment(ExperimentSpec(**values))
+    return ExperimentSpec(**{"n_inner" if k == "n" else k: v for k, v in values.items()})
+
+
+def cmd_convergence(args, spec) -> int:
+    out = args.out or DEFAULT_OUT
+    report = convergence.run_experiment(spec)
     convergence.emit_csv(report, out)
     for nm in convergence.NORMS:
         print(f"fitted_order_{nm}={report.fitted_order[nm]:.6g}")
@@ -170,12 +168,11 @@ def cmd_convergence(args, settings) -> int:
     return EXIT_OK
 
 
-def cmd_check_order(args) -> int:
-    tableau = _resolve_tableau(args)
+def cmd_check_order(args, spec) -> int:
+    tableau = spec.resolve_tableau()
     report = orderconditions.full_report(tableau, z_seed=args.seed)
     sys.stdout.write(report.to_table())
-    claims = (tableau.claims if args.require_order is None
-              else orderconditions.ORDER_CLAIMS[args.require_order])
+    claims = tableau.claims if args.require_order is None else ORDER_CLAIMS[args.require_order]
     row = orderconditions.first_failure(claims, report)
     if row is None:
         return EXIT_OK
@@ -184,14 +181,15 @@ def cmd_check_order(args) -> int:
     return EXIT_RUNTIME
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args, spec) -> int:
     if args.kind == "smoothing":
-        g = discretize.build_grid(args.n)
-        ops = discretize.build_operators(g, args.nu)
+        g = discretize.build_grid(spec.n_inner)
+        ops = discretize.build_operators(g, spec.nu)
         report = probes.smoothing_probe(ops, args.gamma, probes.DEFAULT_SMOOTHING_TIMES)
     elif args.kind == "relbound":
-        sizes = tuple(n for n in probes.DEFAULT_RELBOUND_SIZES if n <= args.n) or (args.n,)
-        report = probes.relative_boundedness_probe(args.gamma, sizes, args.nu)
+        sizes = tuple(n for n in probes.DEFAULT_RELBOUND_SIZES if n <= spec.n_inner)
+        sizes = sizes or (spec.n_inner,)
+        report = probes.relative_boundedness_probe(args.gamma, sizes, spec.nu)
     else:
         rule = (probes.sine_coefficients_initial_data if args.coeffs == "u0"
                 else probes.worst_case_coefficients)
@@ -205,12 +203,12 @@ def cmd_probe(args) -> int:
     return EXIT_OK if report.bounded else EXIT_RUNTIME
 
 
-def cmd_solve(args) -> int:
-    grid = discretize.build_grid(args.n)
-    ops = discretize.build_operators(grid, args.nu)
+def cmd_solve(args, spec) -> int:
+    grid = discretize.build_grid(spec.n_inner)
+    ops = discretize.build_operators(grid, spec.nu)
     u0 = discretize.initial_data(grid)
-    tableau = _resolve_tableau(args)
-    result = stepping.solve(tableau, ops, u0, args.T, args.tau)
+    tableau = spec.resolve_tableau()
+    result = stepping.solve(tableau, ops, u0, spec.T, args.tau)
     norms = discretize.discrete_norms(grid, result.final)
     print(f"scheme={tableau.name} steps={result.steps} tau={result.tau:g}")
     print(f"l1={norms.l1:.12g} l2={norms.l2:.12g} linf={norms.linf:.12g}")
@@ -218,22 +216,12 @@ def cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, settings = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "convergence": lambda a: cmd_convergence(a, settings),
-        "check-order": cmd_check_order,
-        "probe": cmd_probe,
-        "solve": cmd_solve,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.handler(args, resolve_spec(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_USAGE if isinstance(exc, ParameterError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -42,11 +42,12 @@ class ExperimentSpec:
         if any(a <= b for a, b in zip(self.tau_list, self.tau_list[1:])):
             raise ParameterError("tau_list must be strictly decreasing")
         for tau in self.tau_list:
-            if abs(self.T / tau - round(self.T / tau)) > 1e-9:
-                raise ParameterError(f"tau={tau:g} does not divide T={self.T:g}")
-        if self.tau_ref is not None and self.tau_ref > min(self.tau_list) / 16.0:
-            raise ParameterError(
-                f"tau_ref={self.tau_ref:g} must be at most min(tau_list)/16")
+            stepping.check_divides(self.T, tau)
+        if self.tau_ref is not None:
+            if self.tau_ref > min(self.tau_list) / 16.0:
+                raise ParameterError(
+                    f"tau_ref={self.tau_ref:g} must be at most min(tau_list)/16")
+            stepping.check_divides(self.T, self.tau_ref, "tau_ref")
 
     def resolve_tableau(self) -> Tableau:
         return self.tableau if self.tableau is not None else resolve_scheme(self.scheme, self.c)

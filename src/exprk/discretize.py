@@ -58,10 +58,14 @@ def build_grid(n_inner: int) -> Grid1D:
     return Grid1D(n_inner=n_inner, h=h, xs=xs)
 
 
+def _check_nu(nu):
+    if not 0 < nu < np.inf:
+        raise ParameterError(f"diffusion coefficient nu must be positive and finite, got {nu}")
+
+
 def build_operators(g: Grid1D, nu: float) -> OperatorPair:
     """Stencils: A = (nu/h^2) tridiag(-1, 2, -1), B = (1/2h) tridiag(-1, 0, 1)."""
-    if nu <= 0:
-        raise ParameterError(f"diffusion coefficient must be positive, got {nu}")
+    _check_nu(nu)
     n, h = g.n_inner, g.h
     off = np.ones(n - 1)
     A = (nu / h ** 2) * (2.0 * np.eye(n) - np.diag(off, 1) - np.diag(off, -1))
@@ -72,8 +76,7 @@ def build_operators(g: Grid1D, nu: float) -> OperatorPair:
 def exact_eigen(g: Grid1D, nu: float) -> SymEigen:
     """A's closed-form DST-I eigenpairs: lam_k = (4 nu/h^2) sin^2(k pi h/2), ascending, and
     Q_jk = sqrt(2h) sin(pi m/(n+1)) with m = jk mod 2(n+1) reduced before the sine."""
-    if nu <= 0:
-        raise ParameterError(f"diffusion coefficient must be positive, got {nu}")
+    _check_nu(nu)
     n, h, k = g.n_inner, g.h, np.arange(1, g.n_inner + 1)
     sines = np.sqrt(2.0 * h) * np.sin(np.pi / (n + 1) * np.arange(2 * (n + 1)))
     return SymEigen(eigenvalues=(4.0 * nu / h ** 2) * np.sin(0.5 * np.pi * h * k) ** 2,

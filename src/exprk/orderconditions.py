@@ -23,7 +23,7 @@ import numpy as np
 from . import discretize
 from .errors import DimensionError, ParameterError
 from .matfuncs import phi_matrices
-from .tableaus import ORDER_CLAIMS, Tableau  # noqa: F401 - ORDER_CLAIMS re-exported
+from .tableaus import Tableau
 
 MODES = ("strong", "weak", "weak-b-only")
 PASS_TOLERANCE = 1e-9  # residual <= tol * (1 + ||rhs||_inf)
@@ -54,7 +54,7 @@ def check_condition(tableau: Tableau, no: int, Z=None, J=None,
     if mode == "weak":
         Z = np.zeros((1, 1))
         n = 1
-    I = np.eye(n)
+    I, zero = np.eye(n), np.zeros((n, n))
     if J is None:
         J = I
     J = np.asarray(J, dtype=float)
@@ -69,24 +69,23 @@ def check_condition(tableau: Tableau, no: int, Z=None, J=None,
     if no != 3 and mode != "weak-b-only":
         combos += tableau.b[1:] if no == 5 else tableau.b
     rhs_keys = {(p + 1, 1.0)} if p is not None else {(1 if no == 3 else 2, ci) for ci in c[1:]}
-    phi = phi_matrices(Z, rhs_keys | {(t.order, t.scale) for C in combos for t in C.terms})
+    phi = phi_matrices(Z, rhs_keys.union(*(C.keys for C in combos)))
 
     def bmat(i):
         if mode == "weak-b-only":
             return tableau.b[i - 1].at_zero() * I
-        return tableau.b[i - 1].combine(phi, n)
+        return tableau.b[i - 1].combine(phi, zero)
 
     if p is not None:
         # sum_i c_i^p / p! b_i(Z) = phi_{p+1}(Z); the i = 1 term is zero for p > 0.
-        lhs = sum((c[i - 1] ** p / math.factorial(p) * bmat(i) for i in range(1, s + 1)),
-                  np.zeros((n, n)))
+        lhs = sum((c[i - 1] ** p / math.factorial(p) * bmat(i) for i in range(1, s + 1)), zero)
         rhs = phi[p + 1, 1.0]
         return {0: (_inf_norm(lhs - rhs), _inf_norm(rhs))}
     if no == 3:
         out = {}
         for i in range(2, s + 1):
-            terms = (tableau.a[i, j].combine(phi, n) for j in range(1, i) if (i, j) in tableau.a)
-            lhs = sum(terms, np.zeros((n, n)))
+            terms = (tableau.a[i, j].combine(phi, zero) for j in range(1, i) if (i, j) in tableau.a)
+            lhs = sum(terms, zero)
             rhs = c[i - 1] * phi[1, c[i - 1]]
             out[i] = (_inf_norm(lhs - rhs), _inf_norm(rhs))
         return out
@@ -96,7 +95,7 @@ def check_condition(tableau: Tableau, no: int, Z=None, J=None,
         bracket = -c[i - 1] ** 2 * phi[2, c[i - 1]]
         for k in range(2, i):
             if (i, k) in tableau.a:
-                bracket = bracket + c[k - 1] * tableau.a[i, k].combine(phi, n)
+                bracket = bracket + c[k - 1] * tableau.a[i, k].combine(phi, zero)
         lhs += bmat(i) @ J @ bracket
     return {0: (_inf_norm(lhs), 0.0)}
 

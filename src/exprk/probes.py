@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import discretize
-from .convergence import write_csv
+from .convergence import ExperimentSpec, write_csv
 from .errors import ContractError, ParameterError
 from .matfuncs import frac_power
 
@@ -79,8 +79,8 @@ def smoothing_probe(ops: discretize.OperatorPair, gamma: float,
     For SPD A this is max over eigenvalues of (t*lam)^g e^{-t*lam}, which
     calculus bounds by g^g e^{-g} independently of t.
     """
-    if gamma < 0:
-        raise ParameterError(f"gamma must be nonnegative, got {gamma}")
+    if not 0.0 <= gamma < np.inf:
+        raise ParameterError(f"gamma must be nonnegative and finite, got {gamma}")
     t_grid = _check_grid(t_grid, "t_grid")
     if ops.eigen is None or ops.eigen.eigenvalues.min() <= 0:
         raise ContractError("smoothing probe requires a symmetric positive definite A")
@@ -111,7 +111,7 @@ def operator_2norm(M, iters: int = 50, tol: float = 1e-10) -> float:
 
 
 def relative_boundedness_probe(gamma: float, n_list: Sequence[int],
-                               nu: float = 0.2) -> ProbeReport:
+                               nu: float = ExperimentSpec.nu) -> ProbeReport:
     """max(||B A^-g||_2, ||A^-g B||_2) on the testbed across grid sizes, with A^-g
     from A's closed-form eigenpairs and both products from B's stencil."""
     if not 0.0 < gamma <= 1.0:
@@ -153,6 +153,8 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
     p = {"l1": 1, "l2": 2, "linf": np.inf}.get(norm)
     if p is None:
         raise ParameterError(f"norm must be l1, l2 or linf, got {norm!r}")
+    if not np.isfinite(beta):
+        raise ParameterError(f"beta must be finite, got {beta}")
     if x_grid < 1000:
         raise ParameterError(f"need at least 1000 evaluation points, got {x_grid}")
     N_list = [int(N) for N in N_list]

@@ -35,42 +35,39 @@ class Stepper:
     """Step u -> Q R Q^T u: Q is A's eigenvectors for a symmetric A, else I."""
 
     def __init__(self, tableau: Tableau, ops: OperatorPair, tau: float):
-        if tau <= 0:
-            raise ParameterError(f"step size must be positive, got {tau}")
+        if not 0 < tau < math.inf:
+            raise ParameterError(f"step size must be positive and finite, got {tau}")
         A = np.asarray(ops.A, dtype=float)
         B = np.asarray(ops.B, dtype=float)
         n = A.shape[0]
         if A.shape != (n, n) or B.shape != (n, n):
             raise DimensionError("operator matrices must be square and equally sized")
 
-        # Every phi_k(-scale * tau * A) the recurrence reads. In A's eigenbasis it
-        # is a diagonal, held as a column, so applying it is a row scaling.
-        combos = list(tableau.a.values()) + list(tableau.b)
-        keys = {(0, -tau)} | {(0, -c * tau) for c in tableau.c if c != 0.0}
-        keys |= {(t.order, -t.scale * tau) for combo in combos for t in combo.terms}
+        # Every phi_k(scale * Z), Z = -tau * A, that the recurrence reads, keyed
+        # (k, scale). In A's eigenbasis it is a diagonal, held as a column, so
+        # applying it is a row scaling.
+        keys = {(0, 1.0)} | {(0, c) for c in tableau.c if c != 0.0}
+        keys = keys.union(*(combo.keys for combo in (*tableau.a.values(), *tableau.b)))
         if ops.eigen is not None:
             lam, self.Q, B = ops.eigen.eigenvalues, ops.eigen.eigenvectors, ops.B_eigen
-            phi = {(k, t): phi_values(k, t * lam)[:, None] for k, t in keys}
+            phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in keys}
             apply = np.multiply
         else:
-            self.Q, phi, apply = np.eye(n), phi_matrices(A, keys), np.matmul
-        I, zero = np.eye(n), np.zeros_like(phi[0, -tau])
-
-        def combo(c):  # tau times the coefficient combo c
-            return sum((tau * t.weight * phi[t.order, -t.scale * tau] for t in c.terms), zero)
+            self.Q, phi, apply = np.eye(n), phi_matrices(-tau * A, keys), np.matmul
+        I, zero = np.eye(n), np.zeros_like(phi[0, 1.0])
 
         # The stage recurrence with the identity as the state: U_i is the
         # matrix taking u to stage i, and BU[i - 1] = B U_i.
         BU = [B]  # U_1 = I since c_1 = 0
         for i, ci in enumerate(tableau.c[1:], start=2):
-            Ui = apply(phi[0, -ci * tau], I) if ci != 0.0 else I
+            Ui = apply(phi[0, ci], I) if ci != 0.0 else I
             for j in range(1, i):
                 if (i, j) in tableau.a:
-                    Ui = Ui + apply(combo(tableau.a[(i, j)]), BU[j - 1])
+                    Ui = Ui + apply(tau * tableau.a[i, j].combine(phi, zero), BU[j - 1])
             BU.append(B @ Ui)
-        R = apply(phi[0, -tau], I)
+        R = apply(phi[0, 1.0], I)
         for bi, BUi in zip(tableau.b, BU):
-            R = R + apply(combo(bi), BUi)
+            R = R + apply(tau * bi.combine(phi, zero), BUi)
         self.R = R
 
     def to_basis(self, u):
@@ -83,17 +80,18 @@ class Stepper:
         return self.Q @ (self.R @ self.to_basis(u))
 
 
-def _check_divides(T, tau, what="tau"):
-    ratio = T / tau
-    N = round(ratio)
-    if N < 1 or abs(ratio - N) > 1e-9:
+def check_divides(T, tau, what="tau") -> int:
+    """N = T/tau; ParameterError unless tau > 0 and T/tau is finite and within
+    1e-9 of an integer N >= 1."""
+    ratio = T / tau if tau > 0 else math.inf
+    if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
         raise ParameterError(f"{what}={tau:g} does not divide T={T:g}")
-    return N
+    return round(ratio)
 
 
 def solve(tableau: Tableau, ops: OperatorPair, u0, T: float, tau: float) -> SolveResult:
     """Integrate u' = -A u + B u from 0 to T with N = T/tau steps."""
-    N = _check_divides(T, tau)
+    N = check_divides(T, tau)
     stepper = Stepper(tableau, ops, tau)
     v = stepper.to_basis(u0)  # one map into the basis, one back
     for i in range(N):
@@ -118,7 +116,7 @@ def solve_reference_rk4(ops: OperatorPair, u0, T: float, tau_ref: float):
     Rejects step sizes outside the explicit stability bound
     tau_ref <= 2.7 / rho, with rho the Gershgorin bound on rho(B - A).
     """
-    N = _check_divides(T, tau_ref, "tau_ref")
+    N = check_divides(T, tau_ref, "tau_ref")
     L = np.asarray(ops.B, dtype=float) - np.asarray(ops.A, dtype=float)
     rho = spectral_radius_estimate(L)
     if rho > 0 and tau_ref > RK4_STABILITY_LIMIT / rho:

@@ -37,12 +37,17 @@ class PhiTerm:
 class PhiCombo:
     terms: Tuple[PhiTerm, ...]
 
-    def eval_matrix(self, Z):
-        return self.combine(phi_matrices(Z, {(t.order, t.scale) for t in self.terms}), len(Z))
+    @property
+    def keys(self):
+        """The (order, scale) pairs of the phi_order(scale Z) this combo reads."""
+        return {(t.order, t.scale) for t in self.terms}
 
-    def combine(self, phi, n):
-        """The n x n combo from a table {(order, scale): phi_order(scale Z)}."""
-        return sum((t.weight * phi[t.order, t.scale] for t in self.terms), np.zeros((n, n)))
+    def eval_matrix(self, Z):
+        return self.combine(phi_matrices(Z, self.keys), np.zeros((len(Z), len(Z))))
+
+    def combine(self, phi, zero):
+        """The combo from a table {(order, scale): phi_order(scale Z)}; zero has its shape."""
+        return sum((t.weight * phi[t.order, t.scale] for t in self.terms), zero)
 
     def at_zero(self) -> float:
         """Classical (A = 0) weight: phi_k(0) = 1/k!."""

@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from exprk import cli
+from exprk import convergence
 from exprk.cli import main, parse_config_text
-from exprk.convergence import ConvergenceRow
+from exprk.convergence import ConvergenceRow, ExperimentSpec
 from exprk.errors import ParameterError
 from exprk.tableau_io import TableauParseError, parse_tableau
 from exprk.tableaus import ORDER_CLAIMS, exponential_euler, third_order
@@ -159,7 +159,7 @@ def test_check_order_euler_requires_order_1(capsys):
 def test_check_order_own_claims_failure_names_row(capsys, monkeypatch):
     # euler's coefficients claiming stiff order two fail condition 2
     overclaimed = dataclasses.replace(exponential_euler(), claims=ORDER_CLAIMS[2])
-    monkeypatch.setattr(cli, "resolve_scheme", lambda name, c: overclaimed)
+    monkeypatch.setattr(convergence, "resolve_scheme", lambda name, c: overclaimed)
     code, stdout, _ = run(["check-order"], capsys)
     assert code == 1 and "condition 2 fails in weak form" in stdout
 
@@ -208,6 +208,48 @@ def test_solve_prints_norms(capsys):
 def test_solve_nondivisible_tau_exit_2(capsys):
     code, _, stderr = run(["solve", "--n", "25", "--tau", "0.3"], capsys)
     assert code == 2 and "divide" in stderr
+
+
+# ------------------------------------------------------ shared settings
+
+# Bad numbers that used to surface as a Python or numpy error (exit 1) or as a
+# verdict on NaN values; each must be a usage error that names the setting.
+@pytest.mark.parametrize("argv, fragment", [
+    (["solve", "--tau", "0"], "tau=0 does not divide T=1"),
+    (["solve", "--T", "inf"], "does not divide T=inf"),
+    (["solve", "--tau", "nan"], "tau=nan does not divide T=1"),
+    (["solve", "--nu", "nan"], "nu must be positive and finite"),
+    (["convergence", "--tau-list", "0.5,0.25,0.125,0"], "tau=0 does not divide T=1"),
+    (["convergence", "--tau-ref", "0"], "tau_ref=0 does not divide T=1"),
+    (["convergence", "--T", "nan"], "does not divide T=nan"),
+    (["probe", "smoothing", "--gamma", "nan"], "gamma must be"),
+    (["probe", "fourier", "--beta", "nan"], "beta must be finite"),
+    (["check-order", "--seed", "-1"], "--seed"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_bad_number_exit_2_names_setting(capsys, argv, fragment):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and fragment in captured.err and captured.out == ""
+
+
+SPEC_FLAGS = {"--scheme": ExperimentSpec.scheme, "--c": ExperimentSpec.c,
+              "--n": ExperimentSpec.n_inner, "--nu": ExperimentSpec.nu, "--T": ExperimentSpec.T}
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["solve", "--tau", "0.25"], ("--scheme", "--c", "--n", "--nu", "--T")),
+    (["probe", "smoothing"], ("--n", "--nu")),
+    (["probe", "relbound", "--gamma", "1"], ("--n", "--nu")),
+    (["check-order"], ("--scheme", "--c")),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_unset_settings_are_experiment_spec_defaults(capsys, argv, flags):
+    """A run without testbed flags prints what the run with ExperimentSpec's values does."""
+    spelled_out = argv + [arg for flag in flags for arg in (flag, str(SPEC_FLAGS[flag]))]
+    plain = run(argv, capsys)
+    assert plain[0] == 0 and plain == run(spelled_out, capsys)
 
 
 # --------------------------------------------------------- custom tableau

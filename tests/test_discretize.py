@@ -52,9 +52,10 @@ def test_operator_eigenvalues_closed_form():
     assert np.allclose(np.linalg.eigvalsh(ops.A), np.sort(expected), rtol=1e-12)
 
 
-def test_build_operators_rejects_nonpositive_nu():
+@pytest.mark.parametrize("nu", [0.0, -0.2, np.nan, np.inf])
+def test_build_operators_rejects_nonpositive_nu(nu):
     with pytest.raises(ParameterError):
-        build_operators(build_grid(3), 0.0)
+        build_operators(build_grid(3), nu)
 
 
 # The closed-form DST-I eigenpairs are checked against the stencil matrix A
@@ -83,9 +84,10 @@ def test_exact_eigen_matches_sym_eigen(n):
     assert np.abs(got - lam).max() <= 1e-13 * lam.max()
 
 
-def test_exact_eigen_rejects_nonpositive_nu():
+@pytest.mark.parametrize("nu", [0.0, -0.2, np.nan, np.inf])
+def test_exact_eigen_rejects_nonpositive_nu(nu):
     with pytest.raises(ParameterError):
-        exact_eigen(build_grid(3), 0.0)
+        exact_eigen(build_grid(3), nu)
 
 
 @pytest.mark.parametrize("n", [2, 25, 399])

@@ -251,10 +251,18 @@ def test_solve_zero_initial_data():
     assert np.abs(res.final).max() == 0.0
 
 
-def test_solve_rejects_nondivisible_horizon():
+@pytest.mark.parametrize("tau", [0.0, -0.25, np.nan, np.inf])
+def test_stepper_rejects_bad_step_size(tau):
+    with pytest.raises(ParameterError, match="step size"):
+        Stepper(exponential_euler(), scalar_ops(1.0, 0.0), tau)
+
+
+@pytest.mark.parametrize("T, tau", [(1.0, 0.3), (1.0, 2.0), (1.0, 0.0), (1.0, -0.25),
+                                    (1.0, np.nan), (np.inf, 0.25), (np.nan, 0.25)])
+def test_solve_rejects_nondivisible_horizon(T, tau):
     ops = scalar_ops(1.0, 0.0)
-    with pytest.raises(ParameterError):
-        solve(exponential_euler(), ops, np.array([1.0]), 1.0, 0.3)
+    with pytest.raises(ParameterError, match="does not divide"):
+        solve(exponential_euler(), ops, np.array([1.0]), T, tau)
 
 
 def test_solve_linearity():
