@@ -33,24 +33,28 @@ def emit(report, filename):
     print(f"{report.label:<34} max={report.max_value:.6g} {verdict:<9} -> {path}")
 
 
-def main() -> int:
-    OUT_DIR.mkdir(exist_ok=True)
+def reports():
+    """(file name, ProbeReport) of every probe run that results/ holds."""
     ops = build_operators(build_grid(ExperimentSpec.n_inner), ExperimentSpec.nu)
-
     for gamma in (0.25, 0.5, 0.75):
-        emit(smoothing_probe(ops, gamma, DEFAULT_SMOOTHING_TIMES),
-             f"smoothing_g{gamma:g}.csv")
+        yield f"smoothing_g{gamma:g}.csv", smoothing_probe(ops, gamma, DEFAULT_SMOOTHING_TIMES)
 
     for gamma in (1.0, 0.5, 0.1):
-        emit(relative_boundedness_probe(gamma, DEFAULT_RELBOUND_SIZES),
-             f"relbound_g{gamma:g}.csv")
+        yield (f"relbound_g{gamma:g}.csv",
+               relative_boundedness_probe(gamma, DEFAULT_RELBOUND_SIZES))
 
     rules = (("u0", sine_coefficients_initial_data),
              ("1k", worst_case_coefficients))
     for beta, norm in ((-0.01, "l1"), (0.24, "l2"), (0.49, "linf")):
         for tag, rule in rules:
-            emit(fourier_beta_probe(rule, beta, DEFAULT_FOURIER_LENGTHS, norm),
-                 f"fourier_b{beta:g}_{norm}_{tag}.csv")
+            yield (f"fourier_b{beta:g}_{norm}_{tag}.csv",
+                   fourier_beta_probe(rule, beta, DEFAULT_FOURIER_LENGTHS, norm))
+
+
+def main() -> int:
+    OUT_DIR.mkdir(exist_ok=True)
+    for filename, report in reports():
+        emit(report, filename)
     return 0
 
 

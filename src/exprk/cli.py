@@ -88,6 +88,18 @@ SETTINGS = {
 }
 
 
+# Each probe flag: its default (None: a shared setting, defaulting to ExperimentSpec's)
+# and the probe kinds it applies to; any other kind rejects it.
+PROBE_FLAGS = {
+    "gamma": (0.5, ("smoothing", "relbound")),
+    "n": (None, ("smoothing", "relbound")),
+    "nu": (None, ("smoothing", "relbound")),
+    "beta": (0.24, ("fourier",)),
+    "norm": ("l2", ("fourier",)),
+    "coeffs": ("u0", ("fourier",)),
+}
+
+
 def _add_settings(p, keys, **helps):
     for key in keys:
         kind, text = SETTINGS[key]
@@ -124,18 +136,21 @@ def _build_parser():
                        f"{probes.TREND_FACTOR:g}x "
                        "the median of the earlier ones. It is not a proof; the "
                        "fourier case --beta 0.49 --norm linf --coeffs 1/k reads "
-                       "unbounded although its series is absolutely summable.")
+                       "unbounded although its series is absolutely summable. "
+                       "--gamma, --n and --nu apply to smoothing and relbound; --beta, "
+                       "--norm and --coeffs to fourier; each is a usage error on any other "
+                       "kind.")
     p.set_defaults(handler=cmd_probe)
     p.add_argument("kind", choices=("smoothing", "relbound", "fourier"))
-    p.add_argument("--gamma", type=float, default=0.5,
-                   help="fractional exponent (default: %(default)s)")
-    p.add_argument("--beta", type=float, default=0.24,
-                   help="Fourier probe exponent (default: %(default)s)")
-    p.add_argument("--norm", default="l2", choices=("l1", "l2", "linf"),
-                   help="norm for the Fourier probe (default: %(default)s)")
-    p.add_argument("--coeffs", default="u0", choices=("u0", "1/k"),
+    p.add_argument("--gamma", type=float,
+                   help=f"fractional exponent (default: {PROBE_FLAGS['gamma'][0]})")
+    p.add_argument("--beta", type=float,
+                   help=f"Fourier probe exponent (default: {PROBE_FLAGS['beta'][0]})")
+    p.add_argument("--norm", choices=("l1", "l2", "linf"),
+                   help=f"norm for the Fourier probe (default: {PROBE_FLAGS['norm'][0]})")
+    p.add_argument("--coeffs", choices=("u0", "1/k"),
                    help="Fourier coefficient rule: initial-data sine series or 1/k "
-                   "(default: %(default)s)")
+                   f"(default: {PROBE_FLAGS['coeffs'][0]})")
     _add_settings(p, ("n", "nu", "out"), out="optional CSV output path")
 
     p = sub.add_parser("solve", help="single run; prints final-state norms")
@@ -182,6 +197,11 @@ def cmd_check_order(args, spec) -> int:
 
 
 def cmd_probe(args, spec) -> int:
+    for key, (default, kinds) in PROBE_FLAGS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+        elif args.kind not in kinds:
+            raise ParameterError(f"--{key} does not apply to probe {args.kind}")
     if args.kind == "smoothing":
         g = discretize.build_grid(spec.n_inner)
         ops = discretize.build_operators(g, spec.nu)

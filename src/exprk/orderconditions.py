@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import discretize
+from .convergence import ExperimentSpec
 from .errors import DimensionError, ParameterError
 from .matfuncs import phi_matrices
 from .tableaus import Tableau
@@ -149,7 +150,7 @@ def full_report(tableau: Tableau, z_seed: int = 0) -> OrderConditionReport:
     Condition 5 is additionally evaluated with a seeded random J.
     """
     g = discretize.build_grid(10)
-    ops = discretize.build_operators(g, 0.2)
+    ops = discretize.build_operators(g, ExperimentSpec.nu)
     specs = [
         ("zero", None, "weak"),
         ("random6", random_stable_matrix(6, z_seed), "strong"),

@@ -16,7 +16,7 @@ import numpy as np
 from . import discretize
 from .convergence import ExperimentSpec, write_csv
 from .errors import ContractError, ParameterError
-from .matfuncs import frac_power
+from .matfuncs import frac_power, is_symmetric
 
 TREND_FACTOR = 1.05
 
@@ -77,14 +77,15 @@ def smoothing_probe(ops: discretize.OperatorPair, gamma: float,
     """Spectral value of ||t^g A^g e^{-tA}||_2 over a grid of times.
 
     For SPD A this is max over eigenvalues of (t*lam)^g e^{-t*lam}, which
-    calculus bounds by g^g e^{-g} independently of t.
+    calculus bounds by g^g e^{-g} independently of t. The quantity needs A's
+    eigenvalues only, so it takes eigvalsh and no eigenvectors.
     """
     if not 0.0 <= gamma < np.inf:
         raise ParameterError(f"gamma must be nonnegative and finite, got {gamma}")
     t_grid = _check_grid(t_grid, "t_grid")
-    if ops.eigen is None or ops.eigen.eigenvalues.min() <= 0:
+    lam = np.linalg.eigvalsh(ops.A) if is_symmetric(ops.A) else None
+    if lam is None or lam.min() <= 0:
         raise ContractError("smoothing probe requires a symmetric positive definite A")
-    lam = ops.eigen.eigenvalues
     values = [float(((t * lam) ** gamma * np.exp(-t * lam)).max()) for t in t_grid]
     return _report(t_grid, values, f"smoothing gamma={gamma:g}")
 

@@ -1,12 +1,14 @@
 """Acceptance gate: nine criteria, one printed pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
-A last check compares the studies with the CSVs committed under results/.
+The last two checks compare the studies and the probe runs with the CSVs
+committed under results/.
 Criterion 8 decides boundedness of the Fourier partial sums by a certified
 tail bound over all truncation lengths; the probes' own bounded-trend
 verdict is printed beside it as a diagnostic only.
 """
 
+import importlib.util
 import math
 import pathlib
 import re
@@ -269,9 +271,12 @@ def test_criterion_9_determinism(testbed_runs):
                    + ", ".join(f"{k}={v}" for k, v in identical.items()))
 
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
-# The benchmark's tolerance on a study's errors (perfbench/workloads.py).
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results"
+# The benchmark's tolerances on a study's errors and on a probe's values
+# (perfbench/workloads.py).
 RESULTS_RTOL, RESULTS_ATOL = 1e-6, 1e-13
+PROBE_RTOL = 1e-8
 
 
 def csv_fields(text):
@@ -280,26 +285,49 @@ def csv_fields(text):
             for line in text.splitlines()]
 
 
-def same_value(got, want):
-    """Numbers within the results tolerance; any other text equal."""
+def same_value(got, want, rtol=RESULTS_RTOL, atol=RESULTS_ATOL):
+    """Numbers within the tolerance; any other text equal."""
     try:
-        return math.isclose(float(got), float(want), rel_tol=RESULTS_RTOL, abs_tol=RESULTS_ATOL)
+        return math.isclose(float(got), float(want), rel_tol=rtol, abs_tol=atol)
     except ValueError:
         return got == want
 
 
+def same_fields(got_text, want_text, rtol=RESULTS_RTOL, atol=RESULTS_ATOL):
+    """The same lines and keys; numbers within the tolerance, any other text equal."""
+    got, want = csv_fields(got_text), csv_fields(want_text)
+    keys = [[[k for k, _ in line] for line in fields] for fields in (got, want)]
+    return keys[0] == keys[1] and all(same_value(g, w, rtol, atol) for gl, wl in zip(got, want)
+                                      for (_, g), (_, w) in zip(gl, wl))
+
+
 def test_committed_results_match(testbed_runs):
     """Header and comment keys exactly, every number within the benchmark's tolerance."""
-    mismatched = []
-    for scheme, (_, csv_text, _) in testbed_runs.items():
-        got = csv_fields(csv_text)
-        want = csv_fields((RESULTS / f"convergence_{scheme}.csv").read_text())
-        keys = [[[k for k, _ in line] for line in fields] for fields in (got, want)]
-        same_keys = keys[0] == keys[1]
-        if not (same_keys and all(same_value(g, w) for gl, wl in zip(got, want)
-                                  for (_, g), (_, w) in zip(gl, wl))):
-            mismatched.append(scheme)
+    mismatched = [scheme for scheme, (_, csv_text, _) in testbed_runs.items()
+                  if not same_fields(csv_text,
+                                     (RESULTS / f"convergence_{scheme}.csv").read_text())]
     assert verdict("results", not mismatched,
                    "testbed studies match results/convergence_*.csv within "
                    f"{RESULTS_RTOL:g} rel + {RESULTS_ATOL:g} abs"
+                   + (f"; mismatched: {mismatched}" if mismatched else ""))
+
+
+def test_committed_probe_results_match(tmp_path):
+    """scripts/run_probes.py's set rerun: the same files, the same keys, verdicts and
+    labels, and every number within the benchmark's probe tolerance."""
+    spec = importlib.util.spec_from_file_location("run_probes", ROOT / "scripts" / "run_probes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    reports = dict(script.reports())
+    committed = sorted(p.name for kind in ("smoothing", "relbound", "fourier")
+                       for p in RESULTS.glob(f"{kind}_*.csv"))
+    assert sorted(reports) == committed
+    mismatched = []
+    for name, report in reports.items():
+        report.to_csv(tmp_path / name)
+        if not same_fields((tmp_path / name).read_text(), (RESULTS / name).read_text(),
+                           PROBE_RTOL, 0.0):
+            mismatched.append(name)
+    assert verdict("probe results", not mismatched,
+                   f"{len(reports)} probe runs match results/ within {PROBE_RTOL:g} rel"
                    + (f"; mismatched: {mismatched}" if mismatched else ""))

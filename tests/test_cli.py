@@ -196,6 +196,17 @@ def test_probe_bad_gamma_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind, flag, value", [
+    ("fourier", "--gamma", "0.5"), ("fourier", "--n", "5"), ("fourier", "--nu", "3"),
+    ("smoothing", "--beta", "0.24"), ("smoothing", "--norm", "l2"),
+    ("smoothing", "--coeffs", "1/k"), ("relbound", "--beta", "0.1"),
+    ("relbound", "--norm", "linf"), ("relbound", "--coeffs", "u0"),
+])
+def test_probe_flag_of_another_kind_exit_2(capsys, kind, flag, value):
+    code, stdout, stderr = run(["probe", kind, flag, value], capsys)
+    assert code == 2 and stdout == "" and f"{flag} does not apply to probe {kind}" in stderr
+
+
 # ----------------------------------------------------------------- solve
 
 def test_solve_prints_norms(capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from exprk import discretize
 from exprk.discretize import OperatorPair, build_grid, build_operators
-from exprk.errors import ParameterError
+from exprk.errors import ContractError, ParameterError
 from exprk.matfuncs import frac_power, sym_eigen
-from exprk.probes import (TREND_FACTOR, ProbeReport, bounded_trend,
+from exprk.probes import (DEFAULT_SMOOTHING_TIMES, TREND_FACTOR, ProbeReport, bounded_trend,
                           fourier_beta_probe, operator_2norm,
                           relative_boundedness_probe,
                           sine_coefficients_initial_data, smoothing_probe,
@@ -97,6 +97,35 @@ def test_smoothing_probe_rejects_unordered_grid():
         smoothing_probe(make_ops(), 0.5, [1.0, 0.5, 2.0])
 
 
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
+def test_smoothing_probe_matches_exact_spectrum(gamma):
+    # oracle: the same formula on A's closed-form DST-I eigenvalues
+    g = build_grid(399)
+    lam = discretize.exact_eigen(g, 0.2).eigenvalues
+    ref = np.array([((t * lam) ** gamma * np.exp(-t * lam)).max()
+                    for t in DEFAULT_SMOOTHING_TIMES])
+    got = smoothing_probe(build_operators(g, 0.2), gamma, DEFAULT_SMOOTHING_TIMES).values
+    assert np.all(np.abs(got - ref) <= 1e-11 * ref)
+
+
+def test_smoothing_probe_needs_no_eigenvectors(monkeypatch):
+    ops = make_ops()
+
+    def never(*args, **kwargs):
+        raise AssertionError("smoothing probe computed eigenvectors")
+    monkeypatch.setattr(np.linalg, "eigh", never)
+    rep = smoothing_probe(ops, 0.5, T_GRID)
+    assert rep.values.shape == (len(T_GRID),) and rep.bounded
+
+
+@pytest.mark.parametrize("split", ["non-symmetric", "indefinite"])
+def test_smoothing_probe_rejects_non_spd(split):
+    ops = make_ops()
+    A = ops.A - 0.5 * ops.B if split == "non-symmetric" else -ops.A
+    with pytest.raises(ContractError, match="symmetric positive definite"):
+        smoothing_probe(OperatorPair(A=A, B=ops.B, nu=ops.nu), 0.5, T_GRID)
+
+
 # ------------------------------------------------- relative boundedness
 
 def test_relbound_gamma_one_bounded():
@@ -123,7 +152,8 @@ def test_probes_validate_grids_before_any_work(monkeypatch):
 
     def never(*args, **kwargs):
         raise AssertionError("work done before the grid was checked")
-    monkeypatch.setattr(np.linalg, "eigh", never)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, never)
     for name in ("build_operators", "exact_eigen", "apply_B"):
         monkeypatch.setattr(discretize, name, never)
     for t_grid in ([1.0, 0.5, 2.0], [0.5, 0.5], [0.0, 1.0], [-1.0, 1.0], []):
