@@ -9,7 +9,9 @@ and a symmetric eigendecomposition with fractional powers.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ _PADE13 = (
 )
 _PADE13_BOUND = 5.37  # 1-norm up to which the approximant is full precision
 
-_PHI_TAYLOR_TERMS = 20  # Taylor terms of _phi_upto at ||Y||_1 <= 1
+_PHI_TAYLOR_TERMS = 20  # Taylor terms of _phi_levels at ||Y||_1 <= 1
 _PHI_SCALAR_CUTOFF = 3.0  # phi_values sums Taylor terms below this |z|
 _PHI_SCALAR_TERMS = 40
 
@@ -53,16 +55,14 @@ def is_symmetric(M, rtol=1e-12):
     return np.abs(M - M.T).max() <= rtol * scale
 
 
-def expm(M):
-    """Matrix exponential e^M via scaling-and-squaring, Pade order 13.
+def _squarings(norm1, bound):
+    """The least s >= 0 with norm1 / 2^s <= bound, as ceil(log2(norm1 / bound))."""
+    return max(0, math.ceil(math.log2(norm1 / bound))) if norm1 > bound else 0
 
-    Scaling: s = max(0, ceil(log2(||M||_1 / 5.37))).
-    """
-    M = _as_square(M)
-    n = M.shape[0]
-    norm1 = np.linalg.norm(M, 1)
-    s = max(0, math.ceil(math.log2(norm1 / _PADE13_BOUND))) if norm1 > _PADE13_BOUND else 0
-    Ms = M / (2.0 ** s)
+
+def _expm_levels(Ms):
+    """e^(2^j Ms) for j = 0, 1, ...: one Pade solve at Ms, then one squaring per level."""
+    n = Ms.shape[0]
     b = _PADE13
     I = np.eye(n)
     M2 = Ms @ Ms
@@ -73,9 +73,19 @@ def expm(M):
     V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
          + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * I)
     E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
+    while True:
+        yield E
         E = E @ E
-    return E
+
+
+def expm(M):
+    """Matrix exponential e^M via scaling-and-squaring, Pade order 13.
+
+    Scaling: s = max(0, ceil(log2(||M||_1 / 5.37))).
+    """
+    M = _as_square(M)
+    s = _squarings(np.linalg.norm(M, 1), _PADE13_BOUND)
+    return next(itertools.islice(_expm_levels(M / 2.0 ** s), s, None))
 
 
 def _check_order(k):
@@ -134,35 +144,62 @@ def phi_combination(M, vs):
     return expm(aug)[:n, -1]
 
 
-def _phi_upto(X, kmax):
-    """[phi_0(X), ..., phi_kmax(X)] by scaling and doubling (Skaflestad & Wright 2009).
+def _phi_levels(Y, kmax):
+    """[phi_0, ..., phi_kmax] at 2^j Y for j = 0, 1, ... (Skaflestad & Wright 2009).
 
-    At Y = X / 2^s with ||Y||_1 <= 1, one Horner pass gives the Taylor sum of
-    phi_kmax(Y) and then phi_j = Y phi_{j+1} + I/j!; s doublings phi_j(2Y) =
-    2^-j (phi_0 phi_j + sum_{i=1..j} phi_i / (j-i)!) return to X, and phi_0
-    is replaced by the more accurate expm(X).
+    At ||Y||_1 <= 1 one Horner pass gives the Taylor sum of phi_kmax(Y) and
+    then phi_j = Y phi_{j+1} + I/j!; each level is one doubling
+    phi_j(2Y) = 2^-j (phi_0 phi_j + sum_{i=1..j} phi_i / (j-i)!).
     """
-    I = np.eye(X.shape[0])
-    s = max(0, math.ceil(math.log2(np.linalg.norm(X, 1) or 1.0)))
-    Y = X / 2.0 ** s
+    I = np.eye(Y.shape[0])
     P, phis = np.zeros_like(Y), []
     for j in range(kmax + _PHI_TAYLOR_TERMS - 1, -1, -1):
         P = Y @ P + I / math.factorial(j)
         if j <= kmax:
             phis.insert(0, P)
-    for _ in range(s):
+    while True:
+        yield phis
         phis = [(phis[0] @ phis[j]
                  + sum(phis[i] / math.factorial(j - i) for i in range(1, j + 1))) / 2.0 ** j
                 for j in range(kmax + 1)]
-    phis[0] = expm(X)
-    return phis
+
+
+def _chain_levels(M, kmax, bound, levels):
+    """{t: level s of levels(Y, k)} for each t in kmax, with t M = 2^s Y, ||Y||_1 <= bound.
+
+    math.frexp writes t = m 2^e, and a power of two scales exactly (away from
+    overflow and subnormals), so t M = 2^e (m M): the members of one family m
+    with one d = e - s share Y = 2^d (m M), bit for bit what t M / 2^s gives,
+    and one chain run to their largest s, with k their largest kmax.
+    """
+    family, groups = {}, defaultdict(lambda: defaultdict(list))
+    for t in kmax:
+        m, e = math.frexp(t)
+        if m not in family:
+            mM = m * M
+            family[m] = mM, np.linalg.norm(mM, 1)
+        s = _squarings(math.ldexp(family[m][1], e), bound)
+        groups[m, e - s][s].append(t)
+    out = {}
+    for (m, d), members in groups.items():
+        k = max(kmax[t] for ts in members.values() for t in ts)
+        for s, level in enumerate(levels(np.ldexp(family[m][0], d), k)):
+            out.update(dict.fromkeys(members.get(s, ()), level))
+            if s == max(members):
+                break
+    return out
 
 
 def phi_matrices(M, keys):
     """{(k, t): phi_k(t M)} for every key (k, t) in keys.
 
     A symmetric M = Q diag(lam) Q^T gives Q diag(phi_k(t lam)) Q^T from one
-    eigh; otherwise each distinct t takes one _phi_upto for all its orders.
+    eigh. Otherwise the t of one power-of-two family (t = 1, 1/2, 1/4, ...)
+    share one chain for phi_0 (a Pade solve and its squarings, as in expm)
+    and one for phi_1..phi_kmax (a Horner pass and its doublings), each run
+    to the family's largest |t| and read off on the way up. A t whose t M is
+    below a chain's base (||t M||_1 <= 1 for phi, <= 5.37 for phi_0), or
+    outside every family, gets a chain of its own; t = 0 gives I/k! exactly.
     """
     M = _as_square(M)
     keys = set(keys)
@@ -171,9 +208,14 @@ def phi_matrices(M, keys):
     if is_symmetric(M):
         lam, Q = np.linalg.eigh(M)
         return {(k, t): (Q * phi_values(k, t * lam)) @ Q.T for k, t in keys}
-    kmax = {t: max(k for k, tk in keys if tk == t) for _, t in keys}
-    phis = {t: _phi_upto(t * M, k) for t, k in kmax.items()}
-    return {(k, t): phis[t][k] for k, t in keys}
+    out = {(k, t): np.eye(len(M)) / math.factorial(k) for k, t in keys if t == 0.0}
+    kmax = {}
+    for k, t in keys - out.keys():
+        kmax[t] = max(k, kmax.get(t, 0))
+    phi0 = _chain_levels(M, kmax, _PADE13_BOUND, lambda Y, _: _expm_levels(Y))
+    phis = _chain_levels(M, {t: k for t, k in kmax.items() if k}, 1.0, _phi_levels)
+    out.update({(k, t): phis[t][k] if k else phi0[t] for k, t in keys - out.keys()})
+    return out
 
 
 def phi_matrix(k: int, M):

@@ -28,6 +28,7 @@ from .tableaus import Tableau
 
 MODES = ("strong", "weak", "weak-b-only")
 PASS_TOLERANCE = 1e-9  # residual <= tol * (1 + ||rhs||_inf)
+_POWER = {1: 0, 2: 1, 4: 2}  # condition: p in sum_i b_i(Z) c_i^p / p! = phi_{p+1}(Z)
 
 
 def _inf_norm(M):
@@ -51,26 +52,33 @@ def check_condition(tableau: Tableau, no: int, Z=None, J=None,
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise DimensionError(f"Z must be square, got shape {Z.shape}")
-    n = Z.shape[0]
     if mode == "weak":
         Z = np.zeros((1, 1))
-        n = 1
-    I, zero = np.eye(n), np.zeros((n, n))
-    if J is None:
-        J = I
-    J = np.asarray(J, dtype=float)
+    n = Z.shape[0]
+    J = np.eye(n) if J is None else np.asarray(J, dtype=float)
     if J.shape != (n, n):
         raise DimensionError(f"J shape {J.shape} does not match Z ({n}x{n})")
+    return _residuals(tableau, no, phi_matrices(Z, _phi_keys(tableau, no, mode)), J, mode)
 
-    s, c = tableau.s, tableau.c
-    p = {1: 0, 2: 1, 4: 2}.get(no)
-    # One phi_matrices call over the keys the condition reads: 1, 2, 4 read
-    # every b_i; 3 every a_ij; 5 the b_i and a_ik with i, k >= 2.
+
+def _phi_keys(tableau: Tableau, no: int, mode: str):
+    """The phi keys condition `no` reads: 1, 2, 4 read every b_i; 3 every a_ij;
+    5 the b_i and a_ik with i, k >= 2; weak-b-only reads no b_i."""
     combos = [C for (_, k), C in tableau.a.items() if no == 3 or (no == 5 and k > 1)]
     if no != 3 and mode != "weak-b-only":
         combos += tableau.b[1:] if no == 5 else tableau.b
-    rhs_keys = {(p + 1, 1.0)} if p is not None else {(1 if no == 3 else 2, ci) for ci in c[1:]}
-    phi = phi_matrices(Z, rhs_keys.union(*(C.keys for C in combos)))
+    p = _POWER.get(no)
+    rhs_keys = ({(p + 1, 1.0)} if p is not None
+                else {(1 if no == 3 else 2, ci) for ci in tableau.c[1:]})
+    return rhs_keys.union(*(C.keys for C in combos))
+
+
+def _residuals(tableau: Tableau, no: int, phi, J, mode: str) -> Dict[int, Tuple[float, float]]:
+    """check_condition's residuals from a phi table holding every key of _phi_keys."""
+    n = J.shape[0]
+    I, zero = np.eye(n), np.zeros((n, n))
+    s, c = tableau.s, tableau.c
+    p = _POWER.get(no)
 
     def bmat(i):
         if mode == "weak-b-only":
@@ -158,13 +166,16 @@ def full_report(tableau: Tableau, z_seed: int = 0) -> OrderConditionReport:
     ]
     rows = []
     for z_spec, Z, mode in specs:
+        # One phi table per Z over every key the five conditions read.
+        Z = np.zeros((1, 1)) if Z is None else Z
+        n = Z.shape[0]
+        phi = phi_matrices(Z, set().union(*(_phi_keys(tableau, no, mode) for no in range(1, 6))))
         for no in (1, 2, 3, 4, 5):
-            for stage, (resid, rhs) in check_condition(tableau, no, Z, mode=mode).items():
+            for stage, (resid, rhs) in _residuals(tableau, no, phi, np.eye(n), mode).items():
                 rows.append(ConditionResidual(no, stage, mode, z_spec, resid, rhs))
         if mode == "strong":
-            n = Z.shape[0]
             Jr = np.random.default_rng(z_seed + 1).standard_normal((n, n))
-            (resid, rhs), = check_condition(tableau, 5, Z, J=Jr, mode=mode).values()
+            (resid, rhs), = _residuals(tableau, 5, phi, Jr, mode).values()
             rows.append(ConditionResidual(5, 0, mode, z_spec + "+randJ", resid, rhs))
     return OrderConditionReport(scheme=tableau.name, seed=z_seed, rows=tuple(rows))
 

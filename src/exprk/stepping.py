@@ -5,8 +5,10 @@ explicit exponential Runge-Kutta scheme is a fixed matrix R(tau), built once
 per (tableau, A, tau) by running the stage recurrence on the identity. For a
 symmetric A = Q diag(lam) Q^T it runs in A's eigenbasis (Hochbruck & Ostermann,
 Acta Numerica 2010, sec. 2), where every phi matrix is a diagonal phi_k(t lam);
-any other A takes its phi matrices from one matfuncs.phi_matrices call. The
-RK4 reference is the quartic P = p(tau_ref (B - A)) raised to the power N.
+any other A takes its phi matrices from one matfuncs.phi_matrices call, in
+which nodes of one power-of-two family (1 and 1/2 for rk2(1/2) and rk3paper)
+share one squaring chain for phi_0 and one doubling chain for the higher phi.
+The RK4 reference is the quartic P = p(tau_ref (B - A)) raised to the power N.
 """
 
 from __future__ import annotations

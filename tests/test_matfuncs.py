@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exprk import matfuncs
 from exprk.discretize import build_grid, build_operators, exact_eigen
 from exprk.errors import ContractError, DimensionError, DomainError, ParameterError
 from exprk.matfuncs import (MAX_PHI_ORDER, SymEigen, expm, frac_power, phi_combination,
@@ -192,14 +193,46 @@ def test_phi_matrices_nonsymmetric_against_decimal_oracle():
     V = np.linalg.qr(rng.standard_normal((n, n)))[0]
     sigma = np.linspace(1.0, 2.0, n)
     S, S_inv = (U * sigma) @ V.T, (V / sigma) @ U.T
+    ts = (1.0, 0.5, 0.25)  # one power-of-two family: one shared chain per call
     for top in (1e-2, 1.0, 1e2, 1e4):
         d = -top * np.geomspace(1e-3, 1.0, n)
         M = (S * d) @ S_inv
-        table = phi_matrices(M, {(k, 1.0) for k in range(MAX_PHI_ORDER + 1)})
+        table = phi_matrices(M, {(k, t) for k in range(MAX_PHI_ORDER + 1) for t in ts})
         for k in range(MAX_PHI_ORDER + 1):
-            ref = (S * [phi_decimal(k, x) for x in d]) @ S_inv
-            for got in (table[k, 1.0], phi_matrix(k, M)):
-                assert np.abs(got - ref).max() <= 2e-12 * np.abs(ref).max(), (top, k)
+            for t in ts:
+                ref = (S * [phi_decimal(k, t * x) for x in d]) @ S_inv
+                for got in (table[k, t], phi_matrix(k, t * M)):
+                    assert np.abs(got - ref).max() <= 2e-12 * np.abs(ref).max(), (top, k, t)
+
+
+def test_phi_matrices_shared_chains_match_one_key_calls():
+    # t = 1, 1/2, 1/4 form one family (one chain each for phi_0 and phi_1..3);
+    # 1/3, 0 and -1 are families of their own. ||M/4||_1 = 10 keeps every
+    # member of the first family above both chains' bases.
+    rng = np.random.default_rng(23)
+    M = rng.standard_normal((8, 8))
+    M *= 40.0 / np.linalg.norm(M, 1)
+    orders = {1.0: 3, 0.5: 2, 0.25: 3, 1.0 / 3.0: 2, 0.0: 2, -1.0: 1}
+    table = phi_matrices(M, {(k, t) for t, top in orders.items() for k in range(top + 1)})
+    chain_kmax = {t: 3 if t in (1.0, 0.5, 0.25) else top for t, top in orders.items()}
+    for (k, t), got in table.items():
+        alone = phi_matrices(M, {(k, t)})[k, t]
+        if k in (0, chain_kmax[t]):  # the same base, level and Horner length
+            assert np.array_equal(got, alone), (k, t)
+        else:  # the Horner pass ran chain_kmax[t] + 20 terms, not k + 20
+            assert np.abs(got - alone).max() <= 1e-15 * np.abs(alone).max(), (k, t)
+    for k in range(3):
+        assert np.array_equal(table[k, 0.0], np.eye(8) / math.factorial(k))
+
+
+def test_expm_levels_are_expm_of_halvings():
+    # ||X||_1 = 300 takes 6 squarings; level 6 - j of the chain is expm(X / 2^j)
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((7, 7))
+    X *= 300.0 / np.linalg.norm(X, 1)
+    levels = matfuncs._expm_levels(X / 2.0 ** 6)
+    for level, j in zip(levels, range(6, -1, -1)):
+        assert np.array_equal(level, expm(X / 2.0 ** j)), j
 
 
 def test_phi_matrices_keys_and_orders():

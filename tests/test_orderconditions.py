@@ -7,7 +7,7 @@ from exprk import orderconditions
 from exprk.discretize import build_grid, build_operators
 from exprk.errors import DimensionError, ParameterError
 from exprk.matfuncs import phi_matrix
-from exprk.orderconditions import (PASS_TOLERANCE, check_condition,
+from exprk.orderconditions import (PASS_TOLERANCE, ConditionResidual, check_condition,
                                    claims_satisfied, full_report,
                                    random_stable_matrix)
 from exprk.tableaus import PhiCombo, exponential_euler, second_order, third_order
@@ -141,6 +141,26 @@ def test_full_report_deterministic():
     a = full_report(third_order(), z_seed=11)
     b = full_report(third_order(), z_seed=11)
     assert a == b and a.to_table() == b.to_table()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+@pytest.mark.parametrize("tab", [exponential_euler(), second_order(0.5), third_order()],
+                         ids=["euler", "rk2", "rk3paper"])
+def test_full_report_rows_equal_per_condition_residuals(tab, seed):
+    # full_report shares one phi table per Z; check_condition builds one per
+    # condition over only its keys. The residuals must agree exactly.
+    want = []
+    specs = [("zero", None, "weak"), ("random6", random_stable_matrix(6, seed), "strong"),
+             ("testbed10", make_Z(), "strong")]
+    for z_spec, Z, mode in specs:
+        for no in (1, 2, 3, 4, 5):
+            for stage, (resid, rhs) in check_condition(tab, no, Z, mode=mode).items():
+                want.append(ConditionResidual(no, stage, mode, z_spec, resid, rhs))
+        if mode == "strong":
+            Jr = np.random.default_rng(seed + 1).standard_normal(Z.shape)
+            (resid, rhs), = check_condition(tab, 5, Z, J=Jr, mode=mode).values()
+            want.append(ConditionResidual(5, 0, mode, z_spec + "+randJ", resid, rhs))
+    assert full_report(tab, seed).rows == tuple(want)
 
 
 def test_full_report_covers_specs_and_randj():

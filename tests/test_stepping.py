@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from exprk import matfuncs
 from exprk.discretize import OperatorPair, build_grid, build_operators, initial_data
 from exprk.errors import InstabilityError, ParameterError
 from exprk.matfuncs import expm, phi_combination, phi_values, sym_eigen
@@ -140,6 +141,22 @@ def test_propagator_with_omitted_b_entry(split):
     got = Stepper(padded, ops, 0.02).step(u)
     want = Stepper(exponential_euler(), ops, 0.02).step(u)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("tau", [2.0 ** -3, 2.0 ** -6])
+def test_nonsymmetric_stepper_runs_one_chain_per_kernel(tau, monkeypatch):
+    # rk3paper reads phi_k(Z) and phi_k(Z/2), one power-of-two family: one
+    # Pade solve serves both phi_0 and one Horner pass both phi_1..phi_3
+    base = build_operators(build_grid(100), 0.2)
+    ops = OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
+    calls = []
+    for name in ("_expm_levels", "_phi_levels"):
+        def counted(*args, name=name, real=getattr(matfuncs, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(matfuncs, name, counted)
+    Stepper(third_order(), ops, tau)
+    assert sorted(calls) == ["_expm_levels", "_phi_levels"]
 
 
 def test_cached_stepper_matches_per_call_recomputation():
