@@ -29,6 +29,7 @@ class OperatorPair:
     A: np.ndarray  # SPD, discrete -nu * d2/dx2
     B: np.ndarray  # skew-symmetric, discrete d/dx
     nu: float
+    grid: Grid1D | None = None  # set by build_operators only: A and B are its stencils
 
     @cached_property
     def eigen(self) -> SymEigen | None:
@@ -67,20 +68,27 @@ def build_operators(g: Grid1D, nu: float) -> OperatorPair:
     """Stencils: A = (nu/h^2) tridiag(-1, 2, -1), B = (1/2h) tridiag(-1, 0, 1)."""
     _check_nu(nu)
     n, h = g.n_inner, g.h
-    off = np.ones(n - 1)
-    A = (nu / h ** 2) * (2.0 * np.eye(n) - np.diag(off, 1) - np.diag(off, -1))
-    B = (1.0 / (2.0 * h)) * (np.diag(off, 1) - np.diag(off, -1))
-    return OperatorPair(A=A, B=B, nu=nu)
+    a, b, i = nu / h ** 2, 1.0 / (2.0 * h), np.arange(n - 1)
+    A, B = np.zeros((n, n)), np.zeros((n, n))
+    np.fill_diagonal(A, 2.0 * a)
+    A[i, i + 1] = A[i + 1, i] = -a
+    B[i, i + 1], B[i + 1, i] = b, -b
+    return OperatorPair(A=A, B=B, nu=nu, grid=g)
+
+
+def exact_eigenvalues(g: Grid1D, nu: float) -> np.ndarray:
+    """A's closed-form eigenvalues lam_k = (4 nu/h^2) sin^2(k pi h/2), k = 1..n, ascending."""
+    _check_nu(nu)
+    k = np.arange(1, g.n_inner + 1)
+    return (4.0 * nu / g.h ** 2) * np.sin(0.5 * np.pi * g.h * k) ** 2
 
 
 def exact_eigen(g: Grid1D, nu: float) -> SymEigen:
-    """A's closed-form DST-I eigenpairs: lam_k = (4 nu/h^2) sin^2(k pi h/2), ascending, and
+    """A's closed-form DST-I eigenpairs: exact_eigenvalues, and
     Q_jk = sqrt(2h) sin(pi m/(n+1)) with m = jk mod 2(n+1) reduced before the sine."""
-    _check_nu(nu)
-    n, h, k = g.n_inner, g.h, np.arange(1, g.n_inner + 1)
-    sines = np.sqrt(2.0 * h) * np.sin(np.pi / (n + 1) * np.arange(2 * (n + 1)))
-    return SymEigen(eigenvalues=(4.0 * nu / h ** 2) * np.sin(0.5 * np.pi * h * k) ** 2,
-                    eigenvectors=sines[np.outer(k, k) % (2 * (n + 1))])
+    lam, n, k = exact_eigenvalues(g, nu), g.n_inner, np.arange(1, g.n_inner + 1)
+    sines = np.sqrt(2.0 * g.h) * np.sin(np.pi / (n + 1) * np.arange(2 * (n + 1)))
+    return SymEigen(eigenvalues=lam, eigenvectors=sines[np.outer(k, k) % (2 * (n + 1))])
 
 
 def apply_B(g: Grid1D, X) -> np.ndarray:

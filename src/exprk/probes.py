@@ -78,12 +78,13 @@ def smoothing_probe(ops: discretize.OperatorPair, gamma: float,
 
     For SPD A this is max over eigenvalues of (t*lam)^g e^{-t*lam}, which
     calculus bounds by g^g e^{-g} independently of t. The quantity needs A's
-    eigenvalues only, so it takes eigvalsh and no eigenvectors.
+    eigenvalues only: the closed form when ops.grid is set, else eigvalsh.
     """
     if not 0.0 <= gamma < np.inf:
         raise ParameterError(f"gamma must be nonnegative and finite, got {gamma}")
     t_grid = _check_grid(t_grid, "t_grid")
-    lam = np.linalg.eigvalsh(ops.A) if is_symmetric(ops.A) else None
+    lam = (discretize.exact_eigenvalues(ops.grid, ops.nu) if ops.grid is not None
+           else np.linalg.eigvalsh(ops.A) if is_symmetric(ops.A) else None)
     if lam is None or lam.min() <= 0:
         raise ContractError("smoothing probe requires a symmetric positive definite A")
     values = [float(((t * lam) ** gamma * np.exp(-t * lam)).max()) for t in t_grid]

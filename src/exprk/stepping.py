@@ -47,27 +47,30 @@ class Stepper:
 
         # Every phi_k(scale * Z), Z = -tau * A, that the recurrence reads, keyed
         # (k, scale). In A's eigenbasis it is a diagonal, held as a column, so
-        # applying it is a row scaling.
+        # applying it is a row scaling. exp_at(c) is phi_0(c Z) as a matrix; a
+        # dense phi matrix is one already, and X @ I would only copy it.
         keys = {(0, 1.0)} | {(0, c) for c in tableau.c if c != 0.0}
         keys = keys.union(*(combo.keys for combo in (*tableau.a.values(), *tableau.b)))
+        I = np.eye(n)
         if ops.eigen is not None:
             lam, self.Q, B = ops.eigen.eigenvalues, ops.eigen.eigenvectors, ops.B_eigen
             phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in keys}
-            apply = np.multiply
+            apply, exp_at = np.multiply, lambda c: phi[0, c] * I
         else:
-            self.Q, phi, apply = np.eye(n), phi_matrices(-tau * A, keys), np.matmul
-        I, zero = np.eye(n), np.zeros_like(phi[0, 1.0])
+            self.Q, phi, apply = I, phi_matrices(-tau * A, keys), np.matmul
+            exp_at = lambda c: phi[0, c]
+        zero = np.zeros_like(phi[0, 1.0])
 
         # The stage recurrence with the identity as the state: U_i is the
         # matrix taking u to stage i, and BU[i - 1] = B U_i.
         BU = [B]  # U_1 = I since c_1 = 0
         for i, ci in enumerate(tableau.c[1:], start=2):
-            Ui = apply(phi[0, ci], I) if ci != 0.0 else I
+            Ui = exp_at(ci) if ci != 0.0 else I
             for j in range(1, i):
                 if (i, j) in tableau.a:
                     Ui = Ui + apply(tau * tableau.a[i, j].combine(phi, zero), BU[j - 1])
             BU.append(B @ Ui)
-        R = apply(phi[0, 1.0], I)
+        R = exp_at(1.0)
         for bi, BUi in zip(tableau.b, BU):
             R = R + apply(tau * bi.combine(phi, zero), BUi)
         self.R = R

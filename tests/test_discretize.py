@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exprk.discretize import (apply_B, build_grid, build_operators, discrete_norms,
-                              exact_eigen, initial_data)
+from exprk.discretize import (OperatorPair, apply_B, build_grid, build_operators,
+                              discrete_norms, exact_eigen, exact_eigenvalues, initial_data)
 from exprk.errors import DimensionError, ParameterError
 from exprk.matfuncs import sym_eigen
 
@@ -52,6 +52,36 @@ def test_operator_eigenvalues_closed_form():
     assert np.allclose(np.linalg.eigvalsh(ops.A), np.sort(expected), rtol=1e-12)
 
 
+@pytest.mark.parametrize("nu", [1e-3, 0.2, 7.5])
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 399])
+def test_build_operators_bytes_match_dense_formula(n, nu):
+    # oracle: the same stencils composed densely from eye and diag
+    g = build_grid(n)
+    off = np.ones(n - 1)
+    A = (nu / g.h ** 2) * (2.0 * np.eye(n) - np.diag(off, 1) - np.diag(off, -1))
+    B = (1.0 / (2.0 * g.h)) * (np.diag(off, 1) - np.diag(off, -1))
+    ops = build_operators(g, nu)
+    assert ops.A.tobytes() == A.tobytes() and ops.B.tobytes() == B.tobytes()
+    assert ops.A.shape == ops.B.shape == (n, n)
+
+
+@pytest.mark.parametrize("nu", [1e-3, 0.2, 7.5])
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 399])
+def test_exact_eigenvalues_bytes_match_formula(n, nu):
+    g = build_grid(n)
+    k = np.arange(1, n + 1)
+    lam = (4.0 * nu / g.h ** 2) * np.sin(0.5 * np.pi * g.h * k) ** 2
+    assert exact_eigenvalues(g, nu).tobytes() == lam.tobytes()
+    assert exact_eigen(g, nu).eigenvalues.tobytes() == lam.tobytes()
+
+
+def test_operator_pair_carries_grid_only_from_build_operators():
+    g = build_grid(5)
+    ops = build_operators(g, 0.2)
+    assert ops.grid is g
+    assert OperatorPair(A=ops.A, B=ops.B, nu=ops.nu).grid is None
+
+
 @pytest.mark.parametrize("nu", [0.0, -0.2, np.nan, np.inf])
 def test_build_operators_rejects_nonpositive_nu(nu):
     with pytest.raises(ParameterError):
@@ -88,6 +118,8 @@ def test_exact_eigen_matches_sym_eigen(n):
 def test_exact_eigen_rejects_nonpositive_nu(nu):
     with pytest.raises(ParameterError):
         exact_eigen(build_grid(3), nu)
+    with pytest.raises(ParameterError):
+        exact_eigenvalues(build_grid(3), nu)
 
 
 @pytest.mark.parametrize("n", [2, 25, 399])

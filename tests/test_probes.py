@@ -98,24 +98,46 @@ def test_smoothing_probe_rejects_unordered_grid():
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
-def test_smoothing_probe_matches_exact_spectrum(gamma):
-    # oracle: the same formula on A's closed-form DST-I eigenvalues
-    g = build_grid(399)
-    lam = discretize.exact_eigen(g, 0.2).eigenvalues
+def test_smoothing_probe_matches_dense_spectrum(gamma):
+    # oracle: the same formula on eigvalsh of the stencil matrix, which the
+    # probe never computes for a pair from build_operators
+    ops = build_operators(build_grid(399), 0.2)
+    lam = np.linalg.eigvalsh(ops.A)
     ref = np.array([((t * lam) ** gamma * np.exp(-t * lam)).max()
                     for t in DEFAULT_SMOOTHING_TIMES])
-    got = smoothing_probe(build_operators(g, 0.2), gamma, DEFAULT_SMOOTHING_TIMES).values
-    assert np.all(np.abs(got - ref) <= 1e-11 * ref)
+    got = smoothing_probe(ops, gamma, DEFAULT_SMOOTHING_TIMES).values
+    assert np.all(np.abs(got - ref) <= 1e-10 * ref)
 
 
-def test_smoothing_probe_needs_no_eigenvectors(monkeypatch):
+def test_smoothing_probe_testbed_pair_decomposes_nothing(monkeypatch):
     ops = make_ops()
 
     def never(*args, **kwargs):
-        raise AssertionError("smoothing probe computed eigenvectors")
+        raise AssertionError("smoothing probe decomposed a testbed matrix")
     monkeypatch.setattr(np.linalg, "eigh", never)
+    monkeypatch.setattr(np.linalg, "eigvalsh", never)
     rep = smoothing_probe(ops, 0.5, T_GRID)
     assert rep.values.shape == (len(T_GRID),) and rep.bounded
+
+
+def test_smoothing_probe_needs_no_eigenvectors(monkeypatch):
+    # a hand-built pair has no grid: one eigvalsh, no eigh, and the values of
+    # the closed form for the same matrix
+    ops = make_ops()
+    calls = []
+
+    def counted(A, real=np.linalg.eigvalsh):
+        calls.append(A.shape)
+        return real(A)
+
+    def never(*args, **kwargs):
+        raise AssertionError("smoothing probe computed eigenvectors")
+    closed = smoothing_probe(ops, 0.5, T_GRID).values
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, "eigh", never)
+    rep = smoothing_probe(OperatorPair(A=ops.A, B=ops.B, nu=ops.nu), 0.5, T_GRID)
+    assert calls == [ops.A.shape]
+    assert rep.bounded and np.all(np.abs(rep.values - closed) <= 1e-10 * closed)
 
 
 @pytest.mark.parametrize("split", ["non-symmetric", "indefinite"])
