@@ -8,7 +8,7 @@ A (discretizing -nu * d2/dx2) and a skew-symmetric advection matrix B
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +29,8 @@ class OperatorPair:
     A: np.ndarray  # SPD, discrete -nu * d2/dx2
     B: np.ndarray  # skew-symmetric, discrete d/dx
     nu: float
-    grid: Grid1D | None = None  # set by build_operators only: A and B are its stencils
+    # set by build_operators only, so A and B are its stencils; replace() drops it
+    grid: Grid1D | None = field(default=None, init=False)
 
     @cached_property
     def eigen(self) -> SymEigen | None:
@@ -73,7 +74,9 @@ def build_operators(g: Grid1D, nu: float) -> OperatorPair:
     np.fill_diagonal(A, 2.0 * a)
     A[i, i + 1] = A[i + 1, i] = -a
     B[i, i + 1], B[i + 1, i] = b, -b
-    return OperatorPair(A=A, B=B, nu=nu, grid=g)
+    ops = OperatorPair(A=A, B=B, nu=nu)
+    object.__setattr__(ops, "grid", g)
+    return ops
 
 
 def exact_eigenvalues(g: Grid1D, nu: float) -> np.ndarray:

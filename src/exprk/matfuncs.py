@@ -191,23 +191,19 @@ def _chain_levels(M, kmax, bound, levels):
 
 
 def phi_matrices(M, keys):
-    """{(k, t): phi_k(t M)} for every key (k, t) in keys.
+    """{(k, t): phi_k(t M)} for every key (k, t) in keys, symmetric M or not.
 
-    A symmetric M = Q diag(lam) Q^T gives Q diag(phi_k(t lam)) Q^T from one
-    eigh. Otherwise the t of one power-of-two family (t = 1, 1/2, 1/4, ...)
-    share one chain for phi_0 (a Pade solve and its squarings, as in expm)
-    and one for phi_1..phi_kmax (a Horner pass and its doublings), each run
-    to the family's largest |t| and read off on the way up. A t whose t M is
-    below a chain's base (||t M||_1 <= 1 for phi, <= 5.37 for phi_0), or
-    outside every family, gets a chain of its own; t = 0 gives I/k! exactly.
+    The t of one power-of-two family (t = 1, 1/2, 1/4, ...) share one chain
+    for phi_0 (a Pade solve and its squarings, as in expm) and one for
+    phi_1..phi_kmax (a Horner pass and its doublings), each run to the
+    family's largest |t| and read off on the way up. A t whose t M is below
+    a chain's base (||t M||_1 <= 1 for phi, <= 5.37 for phi_0), or outside
+    every family, gets a chain of its own; t = 0 gives I/k! exactly.
     """
     M = _as_square(M)
     keys = set(keys)
     for k, _ in keys:
         _check_order(k)
-    if is_symmetric(M):
-        lam, Q = np.linalg.eigh(M)
-        return {(k, t): (Q * phi_values(k, t * lam)) @ Q.T for k, t in keys}
     out = {(k, t): np.eye(len(M)) / math.factorial(k) for k, t in keys if t == 0.0}
     kmax = {}
     for k, t in keys - out.keys():

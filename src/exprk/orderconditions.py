@@ -9,7 +9,7 @@ The five conditions are operator identities in Z = -tau*A:
 
 Each is checked in strong form (a concrete matrix Z), weak form (all phi
 arguments at the zero matrix), or the intermediate weak-b-only form where
-only the b_i are evaluated at zero.
+only the b_i are evaluated at zero; each reads one phi table of Z over _phi_keys.
 """
 
 from __future__ import annotations
@@ -58,19 +58,14 @@ def check_condition(tableau: Tableau, no: int, Z=None, J=None,
     J = np.eye(n) if J is None else np.asarray(J, dtype=float)
     if J.shape != (n, n):
         raise DimensionError(f"J shape {J.shape} does not match Z ({n}x{n})")
-    return _residuals(tableau, no, phi_matrices(Z, _phi_keys(tableau, no, mode)), J, mode)
+    return _residuals(tableau, no, phi_matrices(Z, _phi_keys(tableau)), J, mode)
 
 
-def _phi_keys(tableau: Tableau, no: int, mode: str):
-    """The phi keys condition `no` reads: 1, 2, 4 read every b_i; 3 every a_ij;
-    5 the b_i and a_ik with i, k >= 2; weak-b-only reads no b_i."""
-    combos = [C for (_, k), C in tableau.a.items() if no == 3 or (no == 5 and k > 1)]
-    if no != 3 and mode != "weak-b-only":
-        combos += tableau.b[1:] if no == 5 else tableau.b
-    p = _POWER.get(no)
-    rhs_keys = ({(p + 1, 1.0)} if p is not None
-                else {(1 if no == 3 else 2, ci) for ci in tableau.c[1:]})
-    return rhs_keys.union(*(C.keys for C in combos))
+def _phi_keys(tableau: Tableau):
+    """The keys every condition reads: the tableau's own phi_keys plus the
+    right-hand sides phi_1, phi_2, phi_3 at 1 and phi_1, phi_2 at each c_i."""
+    rhs = {(k, 1.0) for k in (1, 2, 3)} | {(k, ci) for ci in tableau.c[1:] for k in (1, 2)}
+    return tableau.phi_keys | rhs
 
 
 def _residuals(tableau: Tableau, no: int, phi, J, mode: str) -> Dict[int, Tuple[float, float]]:
@@ -160,16 +155,15 @@ def full_report(tableau: Tableau, z_seed: int = 0) -> OrderConditionReport:
     g = discretize.build_grid(10)
     ops = discretize.build_operators(g, ExperimentSpec.nu)
     specs = [
-        ("zero", None, "weak"),
+        ("zero", np.zeros((1, 1)), "weak"),
         ("random6", random_stable_matrix(6, z_seed), "strong"),
         ("testbed10", -0.1 * ops.A, "strong"),
     ]
-    rows = []
+    rows, keys = [], _phi_keys(tableau)
     for z_spec, Z, mode in specs:
         # One phi table per Z over every key the five conditions read.
-        Z = np.zeros((1, 1)) if Z is None else Z
         n = Z.shape[0]
-        phi = phi_matrices(Z, set().union(*(_phi_keys(tableau, no, mode) for no in range(1, 6))))
+        phi = phi_matrices(Z, keys)
         for no in (1, 2, 3, 4, 5):
             for stage, (resid, rhs) in _residuals(tableau, no, phi, np.eye(n), mode).items():
                 rows.append(ConditionResidual(no, stage, mode, z_spec, resid, rhs))

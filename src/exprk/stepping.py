@@ -45,19 +45,17 @@ class Stepper:
         if A.shape != (n, n) or B.shape != (n, n):
             raise DimensionError("operator matrices must be square and equally sized")
 
-        # Every phi_k(scale * Z), Z = -tau * A, that the recurrence reads, keyed
-        # (k, scale). In A's eigenbasis it is a diagonal, held as a column, so
-        # applying it is a row scaling. exp_at(c) is phi_0(c Z) as a matrix; a
-        # dense phi matrix is one already, and X @ I would only copy it.
-        keys = {(0, 1.0)} | {(0, c) for c in tableau.c if c != 0.0}
-        keys = keys.union(*(combo.keys for combo in (*tableau.a.values(), *tableau.b)))
+        # phi_k(scale * Z), Z = -tau * A, for every (k, scale) in tableau.phi_keys.
+        # In A's eigenbasis it is a diagonal, held as a column, so applying it
+        # is a row scaling. exp_at(c) is phi_0(c Z) as a matrix; a dense phi
+        # matrix is one already, and X @ I would only copy it.
         I = np.eye(n)
         if ops.eigen is not None:
             lam, self.Q, B = ops.eigen.eigenvalues, ops.eigen.eigenvectors, ops.B_eigen
-            phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in keys}
+            phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in tableau.phi_keys}
             apply, exp_at = np.multiply, lambda c: phi[0, c] * I
         else:
-            self.Q, phi, apply = I, phi_matrices(-tau * A, keys), np.matmul
+            self.Q, phi, apply = I, phi_matrices(-tau * A, tableau.phi_keys), np.matmul
             exp_at = lambda c: phi[0, c]
         zero = np.zeros_like(phi[0, 1.0])
 

@@ -93,6 +93,13 @@ class Tableau:
     def s(self) -> int:
         return len(self.c)
 
+    @property
+    def phi_keys(self):
+        """Every (k, scale) of the phi_k(scale Z) one step reads: phi_0 at 1
+        and at each nonzero node, and the keys of every a and b combo."""
+        keys = {(0, 1.0)} | {(0, c) for c in self.c if c != 0.0}
+        return keys.union(*(combo.keys for combo in (*self.a.values(), *self.b)))
+
 
 def exponential_euler() -> Tableau:
     """One-stage scheme: u+ = e^{-tau A} u + tau phi_1(-tau A) B u."""

@@ -1,5 +1,7 @@
 """Testbed discretization: stencils, spectra, norms, consistency orders."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from exprk.discretize import (OperatorPair, apply_B, build_grid, build_operators,
                               discrete_norms, exact_eigen, exact_eigenvalues, initial_data)
-from exprk.errors import DimensionError, ParameterError
+from exprk.errors import ContractError, DimensionError, ParameterError
 from exprk.matfuncs import sym_eigen
+from exprk.probes import smoothing_probe
 
 
 def test_build_grid_small():
@@ -80,6 +83,14 @@ def test_operator_pair_carries_grid_only_from_build_operators():
     ops = build_operators(g, 0.2)
     assert ops.grid is g
     assert OperatorPair(A=ops.A, B=ops.B, nu=ops.nu).grid is None
+    with pytest.raises(TypeError):
+        OperatorPair(A=ops.A, B=ops.B, nu=ops.nu, grid=g)
+    # a derived pair's A and B need not be the grid's stencils, so it has no grid
+    assert dataclasses.replace(ops, nu=0.3).grid is None
+    flipped = dataclasses.replace(ops, A=-ops.A)
+    assert flipped.grid is None
+    with pytest.raises(ContractError):
+        smoothing_probe(flipped, 0.5, [0.1, 1.0])
 
 
 @pytest.mark.parametrize("nu", [0.0, -0.2, np.nan, np.inf])

@@ -151,17 +151,17 @@ def test_phi_matrix_defining_identity():
     assert resid <= 1e-10
 
 
-def test_phi_matrix_similarity_crosses_paths():
-    # D M D^-1 is not symmetric, so its phi goes through Taylor-and-doubling
-    # while phi(M) takes the eigendecomposition; both sides must agree.
+def test_phi_matrix_similarity_invariance():
+    # phi_k(D M D^-1) = D phi_k(M) D^-1: the chains must agree on a symmetric
+    # M and on its non-symmetric diagonal similarity transform.
     rng = np.random.default_rng(9)
     S = rng.standard_normal((6, 6))
     M = -(S @ S.T + np.eye(6))  # negated SPD, the stepping-relevant sign
     d = rng.uniform(0.5, 2.0, 6)
     for k in range(9):
-        via_eigen = d[:, None] * phi_matrix(k, M) / d
-        via_doubling = phi_matrix(k, d[:, None] * M / d)
-        assert np.abs(via_eigen - via_doubling).max() <= 1e-9 * max(1.0, np.abs(via_eigen).max())
+        moved = d[:, None] * phi_matrix(k, M) / d
+        direct = phi_matrix(k, d[:, None] * M / d)
+        assert np.abs(moved - direct).max() <= 1e-9 * max(1.0, np.abs(moved).max())
 
 
 def phi_decimal(k, z):
@@ -185,24 +185,27 @@ def test_phi_values_against_decimal_oracle():
         assert err.max() <= 1e-13, (k, z[err.argmax()], err.max())
 
 
-def test_phi_matrices_nonsymmetric_against_decimal_oracle():
-    # M = S diag(d) S^-1 with cond(S) = 2, so phi_k(M) = S diag(phi_k(d)) S^-1.
+def test_phi_matrices_against_decimal_oracle():
+    # M = S diag(d) S^-1, so phi_k(M) = S diag(phi_k(d)) S^-1: a non-symmetric
+    # M with cond(S) = 2, and a symmetric one with S orthogonal.
     rng = np.random.default_rng(17)
     n = 6
     U = np.linalg.qr(rng.standard_normal((n, n)))[0]
     V = np.linalg.qr(rng.standard_normal((n, n)))[0]
     sigma = np.linspace(1.0, 2.0, n)
-    S, S_inv = (U * sigma) @ V.T, (V / sigma) @ U.T
+    bases = {"nonsymmetric": ((U * sigma) @ V.T, (V / sigma) @ U.T), "symmetric": (U, U.T)}
     ts = (1.0, 0.5, 0.25)  # one power-of-two family: one shared chain per call
-    for top in (1e-2, 1.0, 1e2, 1e4):
-        d = -top * np.geomspace(1e-3, 1.0, n)
-        M = (S * d) @ S_inv
-        table = phi_matrices(M, {(k, t) for k in range(MAX_PHI_ORDER + 1) for t in ts})
-        for k in range(MAX_PHI_ORDER + 1):
-            for t in ts:
-                ref = (S * [phi_decimal(k, t * x) for x in d]) @ S_inv
-                for got in (table[k, t], phi_matrix(k, t * M)):
-                    assert np.abs(got - ref).max() <= 2e-12 * np.abs(ref).max(), (top, k, t)
+    for kind, (S, S_inv) in bases.items():
+        for top in (1e-2, 1.0, 1e2, 1e4):
+            d = -top * np.geomspace(1e-3, 1.0, n)
+            M = (S * d) @ S_inv
+            table = phi_matrices(M, {(k, t) for k in range(MAX_PHI_ORDER + 1) for t in ts})
+            for k in range(MAX_PHI_ORDER + 1):
+                for t in ts:
+                    ref = (S * [phi_decimal(k, t * x) for x in d]) @ S_inv
+                    for got in (table[k, t], phi_matrix(k, t * M)):
+                        err = np.abs(got - ref).max()
+                        assert err <= 2e-12 * np.abs(ref).max(), (kind, top, k, t)
 
 
 def test_phi_matrices_shared_chains_match_one_key_calls():

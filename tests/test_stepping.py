@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from exprk import matfuncs
+from exprk import matfuncs, stepping
 from exprk.discretize import OperatorPair, build_grid, build_operators, initial_data
 from exprk.errors import InstabilityError, ParameterError
 from exprk.matfuncs import expm, phi_combination, phi_values, sym_eigen
@@ -141,6 +141,26 @@ def test_propagator_with_omitted_b_entry(split):
     got = Stepper(padded, ops, 0.02).step(u)
     want = Stepper(exponential_euler(), ops, 0.02).step(u)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("tab, want", [
+    (exponential_euler(), {(0, 1.0), (1, 1.0)}),
+    (second_order(1.0 / 3.0), {(0, 1.0), (0, 1.0 / 3.0), (1, 1.0 / 3.0), (1, 1.0), (2, 1.0)}),
+    (third_order(), {(0, 1.0), (0, 0.5), (1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0), (3, 1.0)}),
+    (parse_tableau("c = 0,0.5\na[2][1] = scale:0.5 phi:1 w:0.5\nb[1] = scale:1 phi:1 w:1\n"),
+     {(0, 1.0), (0, 0.5), (1, 0.5), (1, 1.0)}),  # the omitted b[2] reads nothing
+], ids=["euler", "rk2(1/3)", "rk3paper", "file-omitted-b"])
+def test_nonsymmetric_stepper_reads_tableau_phi_keys(tab, want, monkeypatch):
+    base = build_operators(build_grid(15), 0.2)
+    ops = OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
+    calls = []
+
+    def counted(M, keys):
+        calls.append(set(keys))
+        return matfuncs.phi_matrices(M, keys)
+    monkeypatch.setattr(stepping, "phi_matrices", counted)
+    Stepper(tab, ops, 0.02)
+    assert calls == [tab.phi_keys] and tab.phi_keys == want
 
 
 @pytest.mark.parametrize("tau", [2.0 ** -3, 2.0 ** -6])
