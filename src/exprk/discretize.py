@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
-from .matfuncs import SymEigen, is_symmetric, sym_eigen
+from .errors import ContractError, DimensionError, ParameterError
+from .matfuncs import SymEigen, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,10 @@ class OperatorPair:
     @cached_property
     def eigen(self) -> SymEigen | None:
         """A = Q diag(lam) Q^T by one sym_eigen, cached; None for a non-symmetric A."""
-        A = np.asarray(self.A, dtype=float)
-        return sym_eigen(A) if is_symmetric(A) else None
+        try:
+            return sym_eigen(self.A)
+        except ContractError:  # not symmetric to 1e-12 (or not finite)
+            return None
 
     @cached_property
     def B_eigen(self) -> np.ndarray:

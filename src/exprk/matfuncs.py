@@ -52,7 +52,8 @@ def is_symmetric(M, rtol=1e-12):
     scale = np.abs(M).max()
     if scale == 0.0:
         return True
-    return np.abs(M - M.T).max() <= rtol * scale
+    D = M - M.T
+    return np.abs(D, out=D).max() <= rtol * scale  # in place: a second n x n temporary page-faults
 
 
 def _squarings(norm1, bound):
@@ -198,19 +199,21 @@ def phi_matrices(M, keys):
     phi_1..phi_kmax (a Horner pass and its doublings), each run to the
     family's largest |t| and read off on the way up. A t whose t M is below
     a chain's base (||t M||_1 <= 1 for phi, <= 5.37 for phi_0), or outside
-    every family, gets a chain of its own; t = 0 gives I/k! exactly.
+    every family, gets a chain of its own; t = 0 gives I/k! exactly. Only
+    the t of a phi_0 key run a phi_0 chain.
     """
     M = _as_square(M)
     keys = set(keys)
     for k, _ in keys:
         _check_order(k)
     out = {(k, t): np.eye(len(M)) / math.factorial(k) for k, t in keys if t == 0.0}
-    kmax = {}
-    for k, t in keys - out.keys():
+    todo, kmax = keys - out.keys(), {}
+    for k, t in todo:
         kmax[t] = max(k, kmax.get(t, 0))
-    phi0 = _chain_levels(M, kmax, _PADE13_BOUND, lambda Y, _: _expm_levels(Y))
+    phi0 = _chain_levels(M, {t: 0 for k, t in todo if k == 0}, _PADE13_BOUND,
+                         lambda Y, _: _expm_levels(Y))
     phis = _chain_levels(M, {t: k for t, k in kmax.items() if k}, 1.0, _phi_levels)
-    out.update({(k, t): phis[t][k] if k else phi0[t] for k, t in keys - out.keys()})
+    out.update({(k, t): phis[t][k] if k else phi0[t] for k, t in todo})
     return out
 
 
@@ -235,7 +238,9 @@ def sym_eigen(M) -> SymEigen:
     M = _as_square(M)
     if not is_symmetric(M):
         raise ContractError("matrix is not symmetric to 1e-12")
-    lam, Q = np.linalg.eigh(0.5 * (M + M.T))
+    # eigh reads one triangle, so it gets the symmetric part; that is M itself,
+    # bit for bit, when M is exactly symmetric
+    lam, Q = np.linalg.eigh(M if np.array_equal(M, M.T) else 0.5 * (M + M.T))
     return SymEigen(eigenvalues=lam, eigenvectors=Q)
 
 

@@ -41,7 +41,7 @@ def check_condition(tableau: Tableau, no: int, Z=None, J=None,
 
     Returns {stage: (residual, rhs_inf_norm)}; condition 3 yields one
     entry per stage i >= 2, the others a single entry keyed 0. Z defaults
-    to the 1x1 zero matrix, J to the identity.
+    to the 1x1 zero matrix, J to the identity; weak mode reads only Z's size.
     """
     if no not in (1, 2, 3, 4, 5):
         raise ParameterError(f"condition number must be 1..5, got {no}")
@@ -52,20 +52,21 @@ def check_condition(tableau: Tableau, no: int, Z=None, J=None,
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise DimensionError(f"Z must be square, got shape {Z.shape}")
-    if mode == "weak":
-        Z = np.zeros((1, 1))
     n = Z.shape[0]
     J = np.eye(n) if J is None else np.asarray(J, dtype=float)
     if J.shape != (n, n):
         raise DimensionError(f"J shape {J.shape} does not match Z ({n}x{n})")
+    if mode == "weak":
+        Z = np.zeros((n, n))
     return _residuals(tableau, no, phi_matrices(Z, _phi_keys(tableau)), J, mode)
 
 
 def _phi_keys(tableau: Tableau):
-    """The keys every condition reads: the tableau's own phi_keys plus the
-    right-hand sides phi_1, phi_2, phi_3 at 1 and phi_1, phi_2 at each c_i."""
+    """The keys every condition reads: those of the a and b combos plus the
+    right-hand sides phi_1, phi_2, phi_3 at 1 and phi_1, phi_2 at each c_i
+    (a step's phi_0 at the nodes enters no condition)."""
     rhs = {(k, 1.0) for k in (1, 2, 3)} | {(k, ci) for ci in tableau.c[1:] for k in (1, 2)}
-    return tableau.phi_keys | rhs
+    return rhs.union(*(combo.keys for combo in (*tableau.a.values(), *tableau.b)))
 
 
 def _residuals(tableau: Tableau, no: int, phi, J, mode: str) -> Dict[int, Tuple[float, float]]:

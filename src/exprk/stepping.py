@@ -4,11 +4,18 @@ The problem u' + Au = Bu is linear and autonomous, so one step of an
 explicit exponential Runge-Kutta scheme is a fixed matrix R(tau), built once
 per (tableau, A, tau) by running the stage recurrence on the identity. For a
 symmetric A = Q diag(lam) Q^T it runs in A's eigenbasis (Hochbruck & Ostermann,
-Acta Numerica 2010, sec. 2), where every phi matrix is a diagonal phi_k(t lam);
-any other A takes its phi matrices from one matfuncs.phi_matrices call, in
-which nodes of one power-of-two family (1 and 1/2 for rk2(1/2) and rk3paper)
-share one squaring chain for phi_0 and one doubling chain for the higher phi.
-The RK4 reference is the quartic P = p(tau_ref (B - A)) raised to the power N.
+Acta Numerica 2010, sec. 2), where every phi matrix is a diagonal phi_k(t lam):
+a build there costs its s - 1 GEMMs B^ U_i plus O(n^2) row scalings and
+in-place sums, with phi_0 added onto a diagonal. Any other A takes its phi
+matrices from one matfuncs.phi_matrices call, in which nodes of one
+power-of-two family (1 and 1/2 for rk2(1/2) and rk3paper) share one squaring
+chain for phi_0 and one doubling chain for the higher phi.
+
+solve runs its N matvecs unchecked and tests finiteness once at the end: a
+non-finite entry stays non-finite through every later matvec. Only a failed
+run is replayed with a check per step, so InstabilityError names the first
+non-finite step. The RK4 reference is the quartic P = p(tau_ref (B - A))
+raised to the power N.
 """
 
 from __future__ import annotations
@@ -47,31 +54,50 @@ class Stepper:
 
         # phi_k(scale * Z), Z = -tau * A, for every (k, scale) in tableau.phi_keys.
         # In A's eigenbasis it is a diagonal, held as a column, so applying it
-        # is a row scaling. exp_at(c) is phi_0(c Z) as a matrix; a dense phi
-        # matrix is one already, and X @ I would only copy it.
-        I = np.eye(n)
-        if ops.eigen is not None:
+        # is a row scaling and adding phi_0 touches only the diagonal.
+        diagonal = ops.eigen is not None
+        if diagonal:
             lam, self.Q, B = ops.eigen.eigenvalues, ops.eigen.eigenvectors, ops.B_eigen
             phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in tableau.phi_keys}
-            apply, exp_at = np.multiply, lambda c: phi[0, c] * I
+            apply = np.multiply
         else:
-            self.Q, phi, apply = I, phi_matrices(-tau * A, tableau.phi_keys), np.matmul
-            exp_at = lambda c: phi[0, c]
+            self.Q, phi, apply = np.eye(n), phi_matrices(-tau * A, tableau.phi_keys), np.matmul
         zero = np.zeros_like(phi[0, 1.0])
+
+        def add_exp(S, c):
+            """S += phi_0(c Z) in place: I at c = 0, and a diagonal meets only S's diagonal."""
+            if c == 0.0:
+                S.flat[::n + 1] += 1.0
+            elif diagonal:
+                S.flat[::n + 1] += phi[0, c][:, 0]
+            else:
+                S += phi[0, c]
+            return S
+
+        # T_2, T_3, ... of every sum are formed in this one buffer: page faults on
+        # fresh n x n temporaries took ~2.5 of ~11 ms of an rk3paper build at n = 399.
+        scratch = np.empty((n, n))
+
+        def stage(c, terms):
+            """phi_0(c Z) + T_1 + T_2 + ..., T_j = tau combo_j(Z) BU_j, added as
+            ((T_1 + phi_0) + T_2) + ...: the sums of the plain left-to-right
+            order, built in the fresh product T_1 (zeros if there is none)."""
+            S = None
+            for combo, BUj in terms:
+                coef = tau * combo.combine(phi, zero)
+                if S is None:
+                    S = add_exp(apply(coef, BUj), c)
+                else:
+                    S += apply(coef, BUj, out=scratch)
+            return add_exp(np.zeros((n, n)), c) if S is None else S
 
         # The stage recurrence with the identity as the state: U_i is the
         # matrix taking u to stage i, and BU[i - 1] = B U_i.
         BU = [B]  # U_1 = I since c_1 = 0
         for i, ci in enumerate(tableau.c[1:], start=2):
-            Ui = exp_at(ci) if ci != 0.0 else I
-            for j in range(1, i):
-                if (i, j) in tableau.a:
-                    Ui = Ui + apply(tau * tableau.a[i, j].combine(phi, zero), BU[j - 1])
-            BU.append(B @ Ui)
-        R = exp_at(1.0)
-        for bi, BUi in zip(tableau.b, BU):
-            R = R + apply(tau * bi.combine(phi, zero), BUi)
-        self.R = R
+            a_i = [(tableau.a[i, j], BU[j - 1]) for j in range(1, i) if (i, j) in tableau.a]
+            BU.append(B @ stage(ci, a_i))
+        self.R = stage(1.0, zip(tableau.b, BU))
 
     def to_basis(self, u):
         u = np.asarray(u, dtype=float)
@@ -96,11 +122,19 @@ def solve(tableau: Tableau, ops: OperatorPair, u0, T: float, tau: float) -> Solv
     """Integrate u' = -A u + B u from 0 to T with N = T/tau steps."""
     N = check_divides(T, tau)
     stepper = Stepper(tableau, ops, tau)
-    v = stepper.to_basis(u0)  # one map into the basis, one back
-    for i in range(N):
-        v = stepper.R @ v
-        if not np.isfinite(v).all():
-            raise InstabilityError(i + 1)
+    v = v0 = stepper.to_basis(u0)  # one map into the basis, one back
+    # A non-finite entry stays non-finite through every later matvec, so one
+    # check at the end finds any; only then is the run replayed step by step
+    # for the first failing step and the warnings that a checked run gives.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(N):
+            v = stepper.R @ v
+    if not np.isfinite(v).all():
+        v = v0
+        for i in range(N):
+            v = stepper.R @ v
+            if not np.isfinite(v).all():
+                raise InstabilityError(i + 1)
     return SolveResult(final=stepper.Q @ v, steps=N, tau=tau)
 
 

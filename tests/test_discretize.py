@@ -48,6 +48,19 @@ def test_operator_structure():
     assert np.abs(scaled[1:-1].sum(axis=1)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("A, symmetric", [
+    (np.array([[2.0, -1.0], [-1.0, 2.0]]), True),
+    (np.array([[2.0, -1.0], [0.0, 2.0]]), False),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), False),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), False),
+], ids=["symmetric", "asymmetric", "nan", "inf"])
+def test_operator_pair_eigen_only_for_a_finite_symmetric_A(A, symmetric):
+    E = OperatorPair(A=A, B=np.zeros((2, 2)), nu=0.0).eigen
+    assert (E is not None) == symmetric
+    if symmetric:
+        assert np.array_equal(E.eigenvalues, sym_eigen(A).eigenvalues)
+
+
 def test_operator_eigenvalues_closed_form():
     g = build_grid(3)
     ops = build_operators(g, 0.2)

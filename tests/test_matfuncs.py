@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from exprk import matfuncs
 from exprk.discretize import build_grid, build_operators, exact_eigen
 from exprk.errors import ContractError, DimensionError, DomainError, ParameterError
-from exprk.matfuncs import (MAX_PHI_ORDER, SymEigen, expm, frac_power, phi_combination,
-                            phi_matrices, phi_matrix, phi_values, sym_eigen)
+from exprk.matfuncs import (MAX_PHI_ORDER, SymEigen, expm, frac_power, is_symmetric,
+                            phi_combination, phi_matrices, phi_matrix, phi_values,
+                            sym_eigen)
 
 
 # ---------------------------------------------------------------- oracles
@@ -323,6 +324,34 @@ def test_sym_eigen_invariants():
 def test_sym_eigen_rejects_asymmetric():
     with pytest.raises(ContractError):
         sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("M, want", [
+    (np.zeros((3, 3)), True),
+    (np.array([[2.0, -1.0], [-1.0, 2.0]]), True),
+    (np.array([[1.0, 1.0 + 1e-13], [1.0, 1.0]]), True),
+    (np.array([[1.0, 1.0 + 1e-11], [1.0, 1.0]]), False),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), False),
+], ids=["zero", "exact", "within-1e-12", "beyond-1e-12", "nan"])
+def test_is_symmetric_decides_and_leaves_m_alone(M, want):
+    before = M.copy()
+    assert is_symmetric(M) == want
+    assert np.array_equal(M, before, equal_nan=True)
+
+
+def test_sym_eigen_decomposes_the_symmetric_part(monkeypatch):
+    # eigh reads one triangle: an exactly symmetric M goes in as it is (its
+    # symmetric part bit for bit), one within 1e-12 as 0.5 (M + M^T)
+    S = np.random.default_rng(3).standard_normal((6, 6))
+    exact = S + S.T
+    near = exact.copy()
+    near[0, 5] += 1e-14
+    seen, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: seen.append(M) or eigh(M))
+    for M in (exact, near):
+        sym_eigen(M)
+    assert seen[0] is exact and np.array_equal(0.5 * (exact + exact.T), exact)
+    assert np.array_equal(seen[1], 0.5 * (near + near.T))
 
 
 # ------------------------------------------------------------- frac_power

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from exprk import orderconditions
+from exprk import matfuncs, orderconditions
 from exprk.discretize import build_grid, build_operators
 from exprk.errors import DimensionError, ParameterError
 from exprk.matfuncs import phi_matrix
 from exprk.orderconditions import (PASS_TOLERANCE, ConditionResidual, check_condition,
                                    claims_satisfied, full_report,
                                    random_stable_matrix)
+from exprk.tableau_io import parse_tableau
 from exprk.tableaus import PhiCombo, exponential_euler, second_order, third_order
 
 
@@ -39,6 +40,13 @@ def test_rejects_mismatched_j():
         check_condition(third_order(), 5, Z=np.zeros((3, 3)), J=np.eye(2))
 
 
+@pytest.mark.parametrize("mode", ["weak", "weak-b-only"])
+def test_weak_modes_check_j_against_the_callers_z(mode):
+    with pytest.raises(DimensionError, match=r"does not match Z \(3x3\)"):
+        check_condition(third_order(), 5, Z=np.zeros((3, 3)), J=np.eye(2), mode=mode)
+    check_condition(third_order(), 5, Z=np.zeros((3, 3)), J=np.eye(3), mode=mode)
+
+
 @pytest.mark.parametrize("Z", [None, "random", "testbed"])
 def test_one_phi_matrices_call_per_condition(Z, monkeypatch):
     Zm = {"random": random_stable_matrix(6, 3), "testbed": make_Z()}.get(Z)
@@ -59,8 +67,21 @@ def test_one_phi_matrices_call_per_condition(Z, monkeypatch):
     # every condition and mode reads the one tableau-wide key set
     assert len(calls) == 15
     assert all(keys == orderconditions._phi_keys(tab) for keys in calls)
-    assert orderconditions._phi_keys(tab) == tab.phi_keys | {
+    # the combos' keys and the right-hand sides; no step's phi_0 at the nodes
+    assert orderconditions._phi_keys(tab) == {
         (1, 1.0), (2, 1.0), (3, 1.0), (1, 0.5), (2, 0.5)}
+
+
+def test_phi_keys_keep_a_phi0_that_a_combo_names():
+    tab = parse_tableau("c = 0,0.5\na[2][1] = scale:0.5 phi:0 w:0.5 + scale:0.5 phi:1 w:-0.5\n"
+                        "b[1] = scale:1 phi:1 w:1\n")
+    assert (0, 0.5) in orderconditions._phi_keys(tab)
+    assert (0, 1.0) not in orderconditions._phi_keys(tab)
+    (resid, _), = check_condition(tab, 3, make_Z()).values()
+    # a_21 = (phi_0(Z/2) - phi_1(Z/2)) / 2 against c phi_1(c Z) = phi_1(Z/2) / 2
+    Zh = 0.5 * make_Z()
+    want = np.abs(0.5 * (phi_matrix(0, Zh) - phi_matrix(1, Zh)) - 0.5 * phi_matrix(1, Zh)).max()
+    assert resid == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------- exact algebra
@@ -117,10 +138,24 @@ def test_condition_3_is_stage_resolved():
 
 
 def test_weak_mode_ignores_supplied_z():
-    # weak form collapses everything to the scalar zero argument
+    # weak form evaluates every phi at the zero matrix: Z's entries never enter
     a = check_condition(third_order(), 1, make_Z(), mode="weak")
     b = check_condition(third_order(), 1, mode="weak")
     assert a == b
+
+
+@pytest.mark.parametrize("tab", [second_order(0.5), second_order(0.25), third_order()],
+                         ids=["rk2(1/2)", "rk2(1/4)", "rk3paper"])
+def test_weak_condition_5_takes_the_callers_j(tab):
+    # at Z = 0 every coefficient is a multiple of I, so the weak residual with
+    # J is the scalar one times max_ij |J_ij|
+    Z = random_stable_matrix(6, 3)
+    J = np.random.default_rng(5).standard_normal((6, 6))
+    (scalar, _), = check_condition(tab, 5, mode="weak").values()
+    (with_j, _), = check_condition(tab, 5, Z, J=J, mode="weak").values()
+    assert with_j == pytest.approx(scalar * np.abs(J).max(), rel=1e-14, abs=1e-16)
+    # and without J, Z's size does not move the residual
+    assert check_condition(tab, 5, Z, mode="weak") == check_condition(tab, 5, mode="weak")
 
 
 def test_condition_5_scales_with_j():
@@ -163,6 +198,16 @@ def test_full_report_rows_equal_per_condition_residuals(tab, seed):
             (resid, rhs), = check_condition(tab, 5, Z, J=Jr, mode=mode).values()
             want.append(ConditionResidual(5, 0, mode, z_spec + "+randJ", resid, rhs))
     assert full_report(tab, seed).rows == tuple(want)
+
+
+@pytest.mark.parametrize("tab", [exponential_euler(), second_order(0.5), third_order()],
+                         ids=["euler", "rk2", "rk3paper"])
+def test_full_report_runs_no_pade_chain(tab, monkeypatch):
+    # no condition reads phi_0 of a built-in scheme, so no phi table needs one
+    def never(*args, **kwargs):
+        raise AssertionError("full_report ran a phi_0 (Pade) chain")
+    monkeypatch.setattr(matfuncs, "_expm_levels", never)
+    assert claims_satisfied(tab, full_report(tab))
 
 
 @pytest.mark.parametrize("tab", [exponential_euler(), second_order(0.5), third_order()],

@@ -1,5 +1,8 @@
 """Scheme construction and time stepping, checked against scalar exact solutions."""
 
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,6 +182,72 @@ def test_nonsymmetric_stepper_runs_one_chain_per_kernel(tau, monkeypatch):
     assert sorted(calls) == ["_expm_levels", "_phi_levels"]
 
 
+# ------------------------------------------------------ bit-identity pins
+
+def reference_propagator(tab, ops, tau):
+    """R(tau) by the plain stage recurrence, with its own arithmetic: phi_0 as
+    a dense matrix (a dense diagonal in A's eigenbasis), I from np.eye, and
+    every sum out of place, left to right. Stepper adds the same terms in the
+    same order, in place and on the diagonal, so it must match bit for bit."""
+    n = len(ops.A)
+    I = np.eye(n)
+    if ops.eigen is not None:
+        lam, B = ops.eigen.eigenvalues, ops.B_eigen
+        phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in tab.phi_keys}
+        apply, exp_at = np.multiply, lambda c: phi[0, c] * I
+    else:
+        B = ops.B
+        phi, apply = matfuncs.phi_matrices(-tau * ops.A, tab.phi_keys), np.matmul
+        exp_at = lambda c: phi[0, c]
+    zero = np.zeros_like(phi[0, 1.0])
+    BU = [B]
+    for i, ci in enumerate(tab.c[1:], start=2):
+        Ui = exp_at(ci) if ci != 0.0 else I
+        for j in range(1, i):
+            if (i, j) in tab.a:
+                Ui = Ui + apply(tau * tab.a[i, j].combine(phi, zero), BU[j - 1])
+        BU.append(B @ Ui)
+    R = exp_at(1.0)
+    for bi, BUi in zip(tab.b, BU):
+        R = R + apply(tau * bi.combine(phi, zero), BUi)
+    return R
+
+
+# stage 2: c = 1/2 and no a terms; stage 3: an interior c = 0 with a term;
+# stage 4: c = 0 and no a terms; b[3] left out
+GAPPY = parse_tableau("c = 0,0.5,0,0,1\n"
+                      "a[3][1] = scale:0.5 phi:1 w:0.5\n"
+                      "a[5][2] = scale:1 phi:1 w:0.5 + scale:0.5 phi:2 w:1\n"
+                      "a[5][3] = scale:1 phi:2 w:1\n"
+                      "a[5][4] = scale:0.5 phi:1 w:-0.25\n"
+                      "b[1] = scale:1 phi:1 w:1 + scale:1 phi:2 w:-1\n"
+                      "b[2] = scale:1 phi:2 w:1\n"
+                      "b[4] = scale:1 phi:3 w:0.5\n"
+                      "b[5] = scale:0.5 phi:3 w:0.5\n")
+PINNED = [resolve_scheme("euler"), resolve_scheme("rk2"), resolve_scheme("rk3paper"),
+          second_order(1.0 / 3.0), GAPPY]
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_ops(path):
+    """The n = 399 paper testbed, or the split A' = A - B/2 at n = 100."""
+    if path == "testbed":
+        return build_operators(build_grid(399), 0.2)
+    base = build_operators(build_grid(100), 0.2)
+    return OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
+
+
+@pytest.mark.parametrize("tab", PINNED, ids=[t.name for t in PINNED[:4]] + ["gappy"])
+@pytest.mark.parametrize("path, taus", [("testbed", range(3, 11)), ("nonsym-split", range(3, 7))],
+                         ids=["testbed", "nonsym-split"])
+def test_propagator_is_bit_identical_to_plain_recurrence(path, taus, tab):
+    ops = pinned_ops(path)
+    assert (ops.eigen is None) == (path == "nonsym-split")
+    for k in taus:
+        tau = 2.0 ** -k
+        assert np.array_equal(Stepper(tab, ops, tau).R, reference_propagator(tab, ops, tau)), tau
+
+
 def test_cached_stepper_matches_per_call_recomputation():
     g = build_grid(15)
     ops = build_operators(g, 0.2)
@@ -325,13 +394,46 @@ def test_solve_exact_on_semigroup():
         assert np.abs(res.final - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1e-12)
 
 
+def first_nonfinite_step(stepper, u0, N):
+    """The first of N steps, checked one at a time, whose state is not finite."""
+    v = stepper.to_basis(u0)
+    for i in range(1, N + 1):
+        v = stepper.R @ v
+        if not np.isfinite(v).all():
+            return i
+    return None
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_solve_reports_instability_step():
-    # growth factor 1001 per unit step overflows after ~100 steps
+    # growth factor 1001 per unit step: 1001^102 is finite, 1001^103 overflows
     ops = scalar_ops(0.0, 1000.0)
     with pytest.raises(InstabilityError) as exc:
         solve(exponential_euler(), ops, np.array([1.0]), 200.0, 1.0)
-    assert 90 <= exc.value.step_index <= 120
+    stepper = Stepper(exponential_euler(), ops, 1.0)
+    assert exc.value.step_index == first_nonfinite_step(stepper, np.array([1.0]), 200) == 103
+
+
+def test_unstable_solve_warns_as_a_checked_loop_does():
+    # R = diag(1001, 1): once u_1 overflows, 0 * inf makes u_2 NaN on the next
+    # step, so an unchecked loop would add "invalid value" warnings
+    ops = OperatorPair(A=np.zeros((2, 2)), B=np.diag([1000.0, 0.0]), nu=0.0)
+    u0, tab = np.ones(2), exponential_euler()
+
+    def recorded(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        return {(w.category, str(w.message)) for w in caught}
+
+    want = recorded(lambda: first_nonfinite_step(Stepper(tab, ops, 1.0), u0, 200))
+
+    def unstable_solve():
+        with pytest.raises(InstabilityError) as exc:
+            solve(tab, ops, u0, 200.0, 1.0)
+        assert exc.value.step_index == 103
+    assert recorded(unstable_solve) == want
+    assert {cat for cat, _ in want} <= {RuntimeWarning}
 
 
 def test_scalar_global_orders_no_reduction():
