@@ -3,7 +3,7 @@
 
 import sys
 
-from exprk.orderconditions import claims_satisfied, full_report
+from exprk.orderconditions import first_failure, full_report
 from exprk.tableaus import exponential_euler, second_order, third_order
 
 
@@ -13,7 +13,7 @@ def main() -> int:
         report = full_report(tab)
         print(f"== {tab.name} ==")
         print(report.to_table())
-        if not claims_satisfied(tab, report):
+        if first_failure(tab.claims, report) is not None:
             print(f"{tab.name}: claimed conditions NOT satisfied")
             ok = False
     return 0 if ok else 1

@@ -14,7 +14,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from exprk.convergence import NORMS, ExperimentSpec, emit_csv, run_experiment
+from exprk.convergence import NORMS, ExperimentSpec, render_csv, run_experiment, write_csv
 
 OUT_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -24,7 +24,7 @@ def main() -> int:
     for scheme in ("euler", "rk2", "rk3paper"):
         report = run_experiment(ExperimentSpec(scheme=scheme))
         path = OUT_DIR / f"convergence_{scheme}.csv"
-        emit_csv(report, path)
+        write_csv(render_csv(report), path)
         orders = " ".join(f"{nm}={report.fitted_order[nm]:.3f}" for nm in NORMS)
         print(f"{scheme:<9} {orders}  -> {path}")
     return 0

@@ -16,7 +16,7 @@ from math import log2
 from . import convergence, discretize, orderconditions, probes, stepping
 from .convergence import ExperimentSpec
 from .errors import ParameterError
-from .tableau_io import load_tableau
+from .tableau_io import LocatedError, assignments, load_tableau, read_text
 from .tableaus import ORDER_CLAIMS
 
 EXIT_OK = 0
@@ -28,39 +28,6 @@ DEFAULT_OUT = "convergence.csv"
 def float_tuple(text: str):
     """Comma-separated floats, e.g. '0.25,0.125'."""
     return tuple(float(v) for v in text.split(","))
-
-
-def parse_config_text(text: str, casts, source: str = "<config>") -> dict:
-    """{key: casts[key](value)} of the `key = value` lines; `#` starts a comment.
-
-    A malformed line, an unknown key or a bad value raises ParameterError
-    naming source:line.
-    """
-    values = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{source}:{line_no}"
-        if "=" not in line:
-            raise ParameterError(f"{where}: expected 'key=value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in casts:
-            raise ParameterError(f"{where}: unknown key {key!r}")
-        try:
-            values[key] = casts[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"{where}: bad value for {key!r}: {exc}") from exc
-    return values
-
-
-def parse_config_file(path, casts) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, casts, source=str(path))
 
 
 def natural(text: str) -> int:
@@ -160,12 +127,25 @@ def _build_parser():
     return parser
 
 
+def read_config(path) -> dict:
+    """{key: its flag's type(value)} of a --config file; a bad line names path:line."""
+    values = {}
+    for line_no, _, key, value in assignments(read_text(path, "config"), path):
+        if key not in SETTINGS:
+            raise LocatedError(path, line_no, None, f"unknown key {key!r}")
+        try:
+            values[key] = SETTINGS[key][0](value)
+        except (TypeError, ValueError) as exc:
+            raise LocatedError(path, line_no, None, f"bad value for {key!r}: {exc}") from exc
+    return values
+
+
 def resolve_spec(args) -> ExperimentSpec:
     """ExperimentSpec of a subcommand's settings, each its flag if given, else its --config
     file value, else ExperimentSpec's default; args.out is set to the resolved --out."""
     values = {}
     if getattr(args, "config", None) is not None:
-        values = parse_config_file(args.config, {k: kind for k, (kind, _) in SETTINGS.items()})
+        values = read_config(args.config)
     values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     args.out = values.pop("out", None)
     if "tableau" in values:
@@ -176,7 +156,7 @@ def resolve_spec(args) -> ExperimentSpec:
 def cmd_convergence(args, spec) -> int:
     out = args.out or DEFAULT_OUT
     report = convergence.run_experiment(spec)
-    convergence.emit_csv(report, out)
+    convergence.write_csv(convergence.render_csv(report), out)
     for nm in convergence.NORMS:
         print(f"fitted_order_{nm}={report.fitted_order[nm]:.6g}")
     print(f"wrote {out}")

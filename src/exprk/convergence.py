@@ -143,11 +143,6 @@ def render_csv(report: ConvergenceReport) -> str:
     return out.getvalue()
 
 
-def emit_csv(report: ConvergenceReport, destination):
-    """Write the report to a path or file-like object (UTF-8, LF endings)."""
-    write_csv(render_csv(report), destination)
-
-
 def write_csv(text: str, destination):
     """The one CSV writer for studies and probes: a path or file-like object, UTF-8, LF."""
     if hasattr(destination, "write"):

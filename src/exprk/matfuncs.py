@@ -9,7 +9,6 @@ and a symmetric eigendecomposition with fractional powers.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ _PADE13 = (
     960960.0, 16380.0, 182.0, 1.0,
 )
 _PADE13_BOUND = 5.37  # 1-norm up to which the approximant is full precision
+_SYMMETRY_RTOL = 1e-12  # is_symmetric: max |M - M^T| <= this * max |M|
 
 _PHI_TAYLOR_TERMS = 20  # Taylor terms of _phi_levels at ||Y||_1 <= 1
 _PHI_SCALAR_CUTOFF = 3.0  # phi_values sums Taylor terms below this |z|
@@ -48,12 +48,12 @@ def _as_square(M, name="matrix"):
     return M
 
 
-def is_symmetric(M, rtol=1e-12):
+def is_symmetric(M):
     scale = np.abs(M).max()
     if scale == 0.0:
         return True
-    D = M - M.T
-    return np.abs(D, out=D).max() <= rtol * scale  # in place: a second n x n temporary page-faults
+    D = M - M.T  # |D| is taken in place: a second n x n temporary page-faults
+    return np.abs(D, out=D).max() <= _SYMMETRY_RTOL * scale
 
 
 def _squarings(norm1, bound):
@@ -80,13 +80,10 @@ def _expm_levels(Ms):
 
 
 def expm(M):
-    """Matrix exponential e^M via scaling-and-squaring, Pade order 13.
-
-    Scaling: s = max(0, ceil(log2(||M||_1 / 5.37))).
+    """Matrix exponential e^M via scaling-and-squaring, Pade order 13: the phi_0
+    chain of phi_matrices at t = 1, s = max(0, ceil(log2(||M||_1 / 5.37))).
     """
-    M = _as_square(M)
-    s = _squarings(np.linalg.norm(M, 1), _PADE13_BOUND)
-    return next(itertools.islice(_expm_levels(M / 2.0 ** s), s, None))
+    return phi_matrices(M, [(0, 1.0)])[0, 1.0]
 
 
 def _check_order(k):
@@ -168,14 +165,15 @@ def _phi_levels(Y, kmax):
 def _chain_levels(M, kmax, bound, levels):
     """{t: level s of levels(Y, k)} for each t in kmax, with t M = 2^s Y, ||Y||_1 <= bound.
 
-    math.frexp writes t = m 2^e, and a power of two scales exactly (away from
-    overflow and subnormals), so t M = 2^e (m M): the members of one family m
-    with one d = e - s share Y = 2^d (m M), bit for bit what t M / 2^s gives,
-    and one chain run to their largest s, with k their largest kmax.
+    t = m 2^e with 1 <= |m| < 2 (so m M is M itself at t = 1, as expm needs), and a
+    power of two scales exactly (away from overflow and subnormals), so t M = 2^e (m M):
+    the members of one family m with one d = e - s share Y = 2^d (m M), bit for bit
+    what t M / 2^s gives, and one chain run to their largest s, with k their largest kmax.
     """
     family, groups = {}, defaultdict(lambda: defaultdict(list))
     for t in kmax:
         m, e = math.frexp(t)
+        m, e = 2.0 * m, e - 1
         if m not in family:
             mM = m * M
             family[m] = mM, np.linalg.norm(mM, 1)
@@ -237,7 +235,7 @@ def sym_eigen(M) -> SymEigen:
     """
     M = _as_square(M)
     if not is_symmetric(M):
-        raise ContractError("matrix is not symmetric to 1e-12")
+        raise ContractError(f"matrix is not symmetric to {_SYMMETRY_RTOL:g}")
     # eigh reads one triangle, so it gets the symmetric part; that is M itself,
     # bit for bit, when M is exactly symmetric
     lam, Q = np.linalg.eigh(M if np.array_equal(M, M.T) else 0.5 * (M + M.T))

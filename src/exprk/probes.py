@@ -19,6 +19,7 @@ from .errors import ContractError, ParameterError
 from .matfuncs import frac_power, is_symmetric
 
 TREND_FACTOR = 1.05
+_POWER_ITERS, _POWER_TOL = 50, 1e-10  # operator_2norm's power iteration
 
 # Control grids of the three probes as run from the CLI and the scripts.
 DEFAULT_SMOOTHING_TIMES = tuple(2.0 ** -k for k in range(12, -1, -1))
@@ -91,7 +92,7 @@ def smoothing_probe(ops: discretize.OperatorPair, gamma: float,
     return _report(t_grid, values, f"smoothing gamma={gamma:g}")
 
 
-def operator_2norm(M, iters: int = 50, tol: float = 1e-10) -> float:
+def operator_2norm(M) -> float:
     """Largest singular value via power iteration on M^T M."""
     M = np.asarray(M, dtype=float)
     G = M.T @ M
@@ -99,13 +100,13 @@ def operator_2norm(M, iters: int = 50, tol: float = 1e-10) -> float:
     v = rng.standard_normal(G.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = G @ v
         lam_new = float(np.linalg.norm(w))
         if lam_new == 0.0:
             return 0.0
         v = w / lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
+        if abs(lam_new - lam) <= _POWER_TOL * lam_new:
             lam = lam_new
             break
         lam = lam_new

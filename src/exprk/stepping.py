@@ -65,10 +65,8 @@ class Stepper:
         zero = np.zeros_like(phi[0, 1.0])
 
         def add_exp(S, c):
-            """S += phi_0(c Z) in place: I at c = 0, and a diagonal meets only S's diagonal."""
-            if c == 0.0:
-                S.flat[::n + 1] += 1.0
-            elif diagonal:
+            """S += phi_0(c Z) in place; a diagonal meets only S's diagonal."""
+            if diagonal:
                 S.flat[::n + 1] += phi[0, c][:, 0]
             else:
                 S += phi[0, c]

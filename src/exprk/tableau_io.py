@@ -1,6 +1,9 @@
-"""Plain-text tableau files for user-supplied schemes.
+"""Plain-text input: the one reader of config and tableau files, and tableaus.
 
-Grammar (one assignment per line, '#' starts a comment):
+Both file kinds share one grammar: one `target = value` assignment per line,
+split at the first '='; '#' starts a comment and blank lines are skipped.
+Errors name `file:line[:column]` (a whole-file check names the file alone).
+A tableau file:
 
     name = my-method            # optional label
     c = 0,0.5,1                 # nodes; defines the stage count
@@ -20,11 +23,36 @@ from .errors import ContractError, ParameterError
 from .tableaus import PhiCombo, PhiTerm, Tableau
 
 
-class TableauParseError(ParameterError):
-    def __init__(self, line_no, column, message):
+class LocatedError(ParameterError):
+    """A bad input line: source:line_no:column, each part only when known."""
+
+    def __init__(self, source, line_no, column, message):
         self.line_no = line_no
         self.column = column
-        super().__init__(f"line {line_no}, column {column}: {message}")
+        where = ":".join(str(part) for part in (source, line_no, column) if part is not None)
+        super().__init__(f"{where}: {message}")
+
+
+def read_text(path, what: str) -> str:
+    """The text of a UTF-8 file; ParameterError naming `what` file if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParameterError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def assignments(text: str, source):
+    """(line_no, value column, target, value) of each assignment line of text."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise LocatedError(source, line_no, None,
+                               f"expected '<target> = <value>', got {line!r}")
+        lhs, rhs = (part.strip() for part in line.split("=", 1))
+        yield line_no, raw.index("=") + 2, lhs, rhs
 
 
 _TERM_RE = re.compile(r"^scale:(?P<scale>\S+)\s+phi:(?P<phi>\S+)\s+w:(?P<w>\S+)$")
@@ -32,60 +60,54 @@ _A_RE = re.compile(r"^a\[(\d+)\]\[(\d+)\]$")
 _B_RE = re.compile(r"^b\[(\d+)\]$")
 
 
-def _parse_combo(rhs: str, line_no: int, offset: int) -> PhiCombo:
+def _parse_combo(rhs: str, source, line_no: int, offset: int) -> PhiCombo:
     terms = []
     pos = offset
     for chunk in rhs.split("+"):
         text = chunk.strip()
         m = _TERM_RE.match(text)
         if not m:
-            raise TableauParseError(
-                line_no, pos + chunk.index(text[0]) + 1 if text else pos + 1,
+            raise LocatedError(
+                source, line_no, pos + chunk.index(text[0]) + 1 if text else pos + 1,
                 f"expected 'scale:<c> phi:<k> w:<weight>', got {text!r}")
         try:
             scale = float(m.group("scale"))
             order = int(m.group("phi"))
             weight = float(m.group("w"))
         except ValueError as exc:
-            raise TableauParseError(line_no, pos + 1, str(exc)) from exc
+            raise LocatedError(source, line_no, pos + 1, str(exc)) from exc
         terms.append(PhiTerm(scale=scale, order=order, weight=weight))
         pos += len(chunk) + 1
     return PhiCombo(terms=tuple(terms))
 
 
-def parse_tableau(text: str, name: str = "custom") -> Tableau:
+def parse_tableau(text: str, source="<tableau>") -> Tableau:
+    name = "custom"
     c = None
     a = {}
     b = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise TableauParseError(line_no, 1, "expected '<target> = <value>'")
-        lhs, rhs = (part.strip() for part in line.split("=", 1))
-        rhs_col = raw.index("=") + 2
+    for line_no, rhs_col, lhs, rhs in assignments(text, source):
         if lhs == "name":
             name = rhs
         elif lhs == "c":
             try:
                 c = tuple(float(v) for v in rhs.split(","))
             except ValueError as exc:
-                raise TableauParseError(line_no, rhs_col, f"bad node list: {exc}") from exc
+                raise LocatedError(source, line_no, rhs_col, f"bad node list: {exc}") from exc
         elif _A_RE.match(lhs):
             i, j = (int(g) for g in _A_RE.match(lhs).groups())
-            a[(i, j)] = _parse_combo(rhs, line_no, rhs_col)
+            a[(i, j)] = _parse_combo(rhs, source, line_no, rhs_col)
         elif _B_RE.match(lhs):
             i = int(_B_RE.match(lhs).group(1))
-            b[i] = _parse_combo(rhs, line_no, rhs_col)
+            b[i] = _parse_combo(rhs, source, line_no, rhs_col)
         else:
-            raise TableauParseError(line_no, 1, f"unknown target {lhs!r}")
+            raise LocatedError(source, line_no, None, f"unknown target {lhs!r}")
     if c is None:
-        raise TableauParseError(0, 0, "missing node line 'c = ...'")
+        raise LocatedError(source, None, None, "missing node line 'c = ...'")
     s = len(c)
     for i in b:
         if not 1 <= i <= s:
-            raise TableauParseError(0, 0, f"b[{i}] outside stage range 1..{s}")
+            raise LocatedError(source, None, None, f"b[{i}] outside stage range 1..{s}")
     empty = PhiCombo(terms=())
     try:
         return Tableau(
@@ -93,13 +115,8 @@ def parse_tableau(text: str, name: str = "custom") -> Tableau:
             b=tuple(b.get(i, empty) for i in range(1, s + 1)),
         )
     except ContractError as exc:  # e.g. a[i][j] outside the stages, or a scale outside [0, 1]
-        raise TableauParseError(0, 0, str(exc)) from exc
+        raise LocatedError(source, None, None, str(exc)) from exc
 
 
 def load_tableau(path) -> Tableau:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParameterError(f"cannot read tableau file {path}: {exc}") from exc
-    return parse_tableau(text)
+    return parse_tableau(read_text(path, "tableau"), path)

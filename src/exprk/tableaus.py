@@ -95,9 +95,9 @@ class Tableau:
 
     @property
     def phi_keys(self):
-        """Every (k, scale) of the phi_k(scale Z) one step reads: phi_0 at 1
-        and at each nonzero node, and the keys of every a and b combo."""
-        keys = {(0, 1.0)} | {(0, c) for c in self.c if c != 0.0}
+        """Every (k, scale) of the phi_k(scale Z) one step reads: phi_0 at 1 and
+        at each node after the first (I at a 0), and every a and b combo's keys."""
+        keys = {(0, 1.0)} | {(0, c) for c in self.c[1:]}
         return keys.union(*(combo.keys for combo in (*self.a.values(), *self.b)))
 
 

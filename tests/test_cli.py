@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from exprk import convergence
-from exprk.cli import main, parse_config_text
+from exprk.cli import main, read_config
 from exprk.convergence import ConvergenceRow, ExperimentSpec
-from exprk.errors import ParameterError
-from exprk.tableau_io import TableauParseError, parse_tableau
+from exprk.tableau_io import LocatedError, parse_tableau
 from exprk.tableaus import ORDER_CLAIMS, exponential_euler, third_order
 
 FAST = ["--n", "25", "--tau-list", "0.125,0.0625,0.03125,0.015625",
@@ -304,14 +303,25 @@ def test_tableau_file_drives_cli(tmp_path, capsys):
 
 def test_parse_tableau_reports_line_and_column():
     bad = "c = 0,0.5\na[2][1] = scale:0.5 phi:one w:1\n"
-    with pytest.raises(TableauParseError) as exc:
+    with pytest.raises(LocatedError) as exc:
         parse_tableau(bad)
     assert exc.value.line_no == 2 and exc.value.column >= 1
 
 
 def test_parse_tableau_missing_nodes():
-    with pytest.raises(TableauParseError):
+    with pytest.raises(LocatedError):
         parse_tableau("b[1] = scale:1 phi:1 w:1\n")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("c = 0,0.5\na[2][1] = scale:0.5 phi:one w:1\n", ":2:11: "),
+    ("b[1] = scale:1 phi:1 w:1\n", ": missing node line"),
+], ids=["bad-term", "no-nodes"])
+def test_tableau_file_error_names_the_file(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.tab"
+    path.write_text(text)
+    code, _, stderr = run(["check-order", "--tableau", str(path)], capsys)
+    assert code == 2 and stderr.startswith(f"error: {path}{where}")
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -321,7 +331,7 @@ def test_parse_tableau_missing_nodes():
 def test_structurally_bad_tableau_exit_2(tmp_path, capsys, text, fragment):
     path = tmp_path / "bad.tab"
     path.write_text(text)
-    with pytest.raises(TableauParseError, match=re.escape(fragment)):
+    with pytest.raises(LocatedError, match=re.escape(fragment)):
         parse_tableau(text)
     code, _, stderr = run(["check-order", "--tableau", str(path)], capsys)
     assert code == 2 and fragment in stderr
@@ -336,17 +346,37 @@ def test_missing_tableau_file_exit_2(tmp_path, capsys):
 
 # ---------------------------------------------------------------- config
 
-CASTS = {"n": int, "scheme": str}
+def test_parse_config_text_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# a comment\n\nscheme = rk2  # trailing\nn=25\n")
+    assert read_config(path) == {"scheme": "rk2", "n": 25}
 
 
-def test_parse_config_text_comments_and_blank_lines():
-    values = parse_config_text("# a comment\n\nscheme = rk2  # trailing\nn=25\n", CASTS)
-    assert values == {"scheme": "rk2", "n": 25}
+def test_parse_config_text_rejects_bad_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("n = 10\njust words\n")
+    with pytest.raises(LocatedError, match=re.escape(f"{path}:2")):
+        read_config(path)
 
 
-def test_parse_config_text_rejects_bad_line():
-    with pytest.raises(ParameterError, match="run.cfg:2"):
-        parse_config_text("n = 10\njust words\n", CASTS, source="run.cfg")
+@pytest.mark.parametrize("kind", ["config", "tableau"])
+def test_config_and_tableau_files_share_one_grammar(tmp_path, capsys, kind):
+    """Both readers skip a blank line and a trailing comment, and a line
+    without '=' exits 2 naming file:line."""
+    path = tmp_path / f"input.{kind}"
+    if kind == "config":
+        named = tmp_path / "named.csv"
+        text = f"# a comment\n\nout = {named}  # trailing\nscheme = euler\n"
+        argv, want = ["convergence"] + FAST + ["--config", str(path)], f"wrote {named}\n"
+    else:
+        text = "# a comment\n\nname = mine  # trailing\nc = 0\nb[1] = scale:1 phi:1 w:1\n"
+        argv, want = ["solve", "--n", "25", "--tau", "0.25", "--tableau", str(path)], "scheme=mine "
+    path.write_text(text)
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0 and want in stdout
+    path.write_text(text + "just words\n")
+    code, _, stderr = run(argv, capsys)
+    assert code == 2 and f"{path}:{text.count(chr(10)) + 1}: " in stderr
 
 
 # One value per config key, each different from what the FAST run uses.

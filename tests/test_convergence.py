@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from exprk.convergence import (FLAG_IDENTICAL, FLAG_OK, FLAG_UNSTABLE,
-                               ConvergenceRow, ExperimentSpec, emit_csv,
-                               fit_order, render_csv, run_experiment)
+                               ConvergenceRow, ExperimentSpec, fit_order,
+                               render_csv, run_experiment, write_csv)
 from exprk.errors import InsufficientDataError, ParameterError
 from test_cli import parse_csv
 
@@ -115,7 +115,7 @@ def test_csv_format_and_roundtrip(tmp_path):
     assert parse_csv(text) == rep.rows
 
     path = tmp_path / "out.csv"
-    emit_csv(rep, path)
+    write_csv(render_csv(rep), path)
     raw = path.read_bytes()
     assert raw.decode() == text and b"\r" not in raw
 
@@ -131,7 +131,7 @@ def test_csv_preserves_17_digits():
 def test_emit_csv_bad_path():
     rep = run_experiment(ExperimentSpec(scheme="euler", **SMALL))
     with pytest.raises(OSError, match="no/such/dir"):
-        emit_csv(rep, "/no/such/dir/out.csv")
+        write_csv(render_csv(rep), "/no/such/dir/out.csv")
 
 
 def test_identical_flag_when_error_is_zero():

@@ -68,6 +68,14 @@ def test_expm_matches_taylor_oracle():
         assert np.abs(E - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
+def test_expm_keeps_subnormal_entries():
+    # e^M >= I + M entrywise for M >= 0; the phi_0 chain at t = 1 scales M by
+    # exactly 1, where halving M first would round 5e-324 to 0
+    tiny = 5e-324
+    E = expm(np.array([[0.0, tiny], [3 * tiny, 0.0]]))
+    assert E[0, 1] >= tiny and E[1, 0] >= tiny
+
+
 def test_expm_rejects_nonsquare():
     with pytest.raises(DimensionError):
         expm(np.ones((2, 3)))

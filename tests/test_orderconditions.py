@@ -8,8 +8,7 @@ from exprk.discretize import build_grid, build_operators
 from exprk.errors import DimensionError, ParameterError
 from exprk.matfuncs import phi_matrix
 from exprk.orderconditions import (PASS_TOLERANCE, ConditionResidual, check_condition,
-                                   claims_satisfied, full_report,
-                                   random_stable_matrix)
+                                   first_failure, full_report, random_stable_matrix)
 from exprk.tableau_io import parse_tableau
 from exprk.tableaus import PhiCombo, exponential_euler, second_order, third_order
 
@@ -207,7 +206,7 @@ def test_full_report_runs_no_pade_chain(tab, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("full_report ran a phi_0 (Pade) chain")
     monkeypatch.setattr(matfuncs, "_expm_levels", never)
-    assert claims_satisfied(tab, full_report(tab))
+    assert first_failure(tab.claims, full_report(tab)) is None
 
 
 @pytest.mark.parametrize("tab", [exponential_euler(), second_order(0.5), third_order()],
@@ -217,7 +216,7 @@ def test_full_report_decomposes_nothing(tab, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("full_report reached eigh")
     monkeypatch.setattr(np.linalg, "eigh", never)
-    assert claims_satisfied(tab, full_report(tab))
+    assert first_failure(tab.claims, full_report(tab)) is None
 
 
 def test_full_report_covers_specs_and_randj():
@@ -237,7 +236,7 @@ def test_random_stable_matrix_properties():
 
 def test_claims_satisfied_all_builtins():
     for tab in (exponential_euler(), second_order(0.5), third_order()):
-        assert claims_satisfied(tab, full_report(tab))
+        assert first_failure(tab.claims, full_report(tab)) is None
 
 
 def test_pass_tolerance_is_tight():

@@ -152,7 +152,9 @@ def test_propagator_with_omitted_b_entry(split):
     (third_order(), {(0, 1.0), (0, 0.5), (1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0), (3, 1.0)}),
     (parse_tableau("c = 0,0.5\na[2][1] = scale:0.5 phi:1 w:0.5\nb[1] = scale:1 phi:1 w:1\n"),
      {(0, 1.0), (0, 0.5), (1, 0.5), (1, 1.0)}),  # the omitted b[2] reads nothing
-], ids=["euler", "rk2(1/3)", "rk3paper", "file-omitted-b"])
+    (parse_tableau("c = 0,0\nb[2] = scale:1 phi:1 w:1\n"),
+     {(0, 1.0), (0, 0.0), (1, 1.0)}),  # phi_0 at an interior 0 is I, from the table too
+], ids=["euler", "rk2(1/3)", "rk3paper", "file-omitted-b", "file-interior-zero"])
 def test_nonsymmetric_stepper_reads_tableau_phi_keys(tab, want, monkeypatch):
     base = build_operators(build_grid(15), 0.2)
     ops = OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
