@@ -14,8 +14,9 @@ chain for phi_0 and one doubling chain for the higher phi.
 solve runs its N matvecs unchecked and tests finiteness once at the end: a
 non-finite entry stays non-finite through every later matvec. Only a failed
 run is replayed with a check per step, so InstabilityError names the first
-non-finite step. The RK4 reference is the quartic P = p(tau_ref (B - A))
-raised to the power N.
+non-finite step. The RK4 reference forms P = p(tau_ref (B - A)) and its first
+squares over their band only, squares while a square costs fewer matvecs than
+it saves, and applies the rest of P^N to u0 as matvecs.
 """
 
 from __future__ import annotations
@@ -145,6 +146,19 @@ def spectral_radius_estimate(L) -> float:
     return float(np.abs(np.asarray(L, dtype=float)).sum(axis=1).max())
 
 
+def _band_matmul(X, wx, Y, wy, out):
+    """out = X @ Y for n x n X, Y of bandwidths wx, wy, written in blocks of 64 rows
+    over the product's bandwidth wx + wy only (Golub & Van Loan, sec. 1.2), so out
+    must be zero outside it; the dense np.matmul where that saves under half the flops."""
+    n, b = len(X), 64
+    if 2 * min(n, b + 2 * wx) * min(n, b + 2 * (wx + wy)) > n * n:
+        return np.matmul(X, Y, out=out)
+    for r in range(0, n, b):
+        k0, k1, c0, c1 = max(0, r - wx), r + b + wx, max(0, r - wx - wy), r + b + wx + wy
+        np.matmul(X[r:r + b, k0:k1], Y[k0:k1, c0:c1], out=out[r:r + b, c0:c1])
+    return out
+
+
 def solve_reference_rk4(ops: OperatorPair, u0, T: float, tau_ref: float):
     """Classical RK4 on u' = (B - A) u; the reference solver.
 
@@ -158,13 +172,26 @@ def solve_reference_rk4(ops: OperatorPair, u0, T: float, tau_ref: float):
         raise ParameterError(
             f"tau_ref={tau_ref:g} exceeds RK4 stability bound "
             f"{RK4_STABILITY_LIMIT / rho:g} (spectral radius <= {rho:g})")
-    n = L.shape[0]
-    I = np.eye(n)
-    M = tau_ref * L
-    # RK4 on a linear autonomous system is the quartic Taylor polynomial in
-    # tau*L, so N steps are P^N (formed by binary powering).
-    P = I + M @ (I + M @ (I / 2.0 + M @ (I / 6.0 + M / 24.0)))
-    u = np.linalg.matrix_power(P, N) @ np.asarray(u0, dtype=float)
+    n, w = L.shape[0], int(np.abs(np.subtract(*np.nonzero(L))).max(initial=0))
+    M = tau_ref * L  # of L's bandwidth w
+    # RK4 on a linear autonomous system is the quartic Taylor polynomial, so N
+    # steps are P^N u0 with P = I + M (I + M (I/2 + M (I/6 + M/24))) of bandwidth 4w.
+    P, spare = M / 24.0, np.zeros((n, n))
+    P.flat[::n + 1] += 1.0 / 6.0
+    for j, c in enumerate((0.5, 1.0, 1.0), start=1):
+        P, spare = _band_matmul(M, w, P, j * w, spare), P
+        P.flat[::n + 1] += c
+    # Binary powering on u0 (Higham, Functions of Matrices, sec. 4.1): a square saves
+    # N/2 matvecs and costs ~n/4 (3.3 ms against 33 us at n = 399 on one thread), so
+    # squaring stops once 2N <= n. Bands only grow: `spare` is 0 outside the next one.
+    u, k, w = np.asarray(u0, dtype=float), N, 4 * w
+    while 2 * k > n:
+        if k % 2:
+            u = P @ u
+        P, spare = _band_matmul(P, w, P, w, spare), P
+        k, w = k // 2, 2 * w
+    for _ in range(k):
+        u = P @ u
     if not np.all(np.isfinite(u)):
         raise InstabilityError(N, "reference solve produced non-finite values")
     return u

@@ -504,3 +504,76 @@ def test_default_reference_step_bounds():
     assert tau_ref <= 2.0 ** -16 + 1e-18
     assert tau_ref <= 0.9 * 2.7 / rho
     assert abs(1.0 / tau_ref - round(1.0 / tau_ref)) <= 1e-9
+
+
+# ------------------------------------------------ banded RK4 reference
+
+def banded(rng, n, w):
+    """A seeded n x n standard-normal matrix with zeros outside bandwidth w."""
+    i, j = np.indices((n, n))
+    return np.where(np.abs(i - j) <= w, rng.standard_normal((n, n)), 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 399])
+def test_band_matmul_matches_dense_product(n):
+    rng = np.random.default_rng(n)
+    i, j = np.indices((n, n))
+    widths = sorted({0, 1, 3, n // 4, n // 2, n - 1})
+    for wx in widths:
+        for wy in widths:
+            X, Y = banded(rng, n, wx), banded(rng, n, wy)
+            got = stepping._band_matmul(X, wx, Y, wy, np.zeros((n, n)))
+            assert np.all(got[np.abs(i - j) > wx + wy] == 0.0), (wx, wy)
+            if n <= 64 or 2 * wx >= n:  # no 64-row block saves work: the dense product
+                assert np.array_equal(got, X @ Y), (wx, wy)
+            else:
+                np.testing.assert_allclose(got, X @ Y, rtol=1e-12, atol=1e-12)
+            # an output buffer holding anything inside the product's band is
+            # overwritten exactly as a zero one is
+            reused = stepping._band_matmul(X, wx, Y, wy, banded(rng, n, wx + wy))
+            assert np.array_equal(reused, got), (wx, wy)
+
+
+def matrix_power_reference(ops, u0, T, tau_ref):
+    """The former evaluation: dense P, then np.linalg.matrix_power(P, N) @ u0."""
+    L = ops.B - ops.A
+    I, M = np.eye(len(L)), tau_ref * L
+    P = I + M @ (I + M @ (I / 2.0 + M @ (I / 6.0 + M / 24.0)))
+    return np.linalg.matrix_power(P, round(T / tau_ref)) @ u0
+
+
+def reference_cases():
+    g, tau = build_grid(399), 2.0 ** -16
+    testbed, u0 = build_operators(g, 0.2), initial_data(g)
+    yield pytest.param(testbed, u0, 1.0, tau, id="testbed-N=2^16")
+    g100 = build_grid(100)
+    base = build_operators(g100, 0.2)
+    split = OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=0.2)
+    yield pytest.param(split, initial_data(g100), 1.0, tau, id="split-n=100")
+    # a seeded full-band L = B - A: A symmetric positive definite, B skew
+    rng = np.random.default_rng(7)
+    G, S = rng.standard_normal((2, 100, 100))
+    dense = OperatorPair(A=G @ G.T / 100 + np.eye(100), B=(S - S.T) / 2, nu=0.0)
+    tau_dense = 1.0 / spectral_radius_estimate(dense.B - dense.A)
+    yield pytest.param(dense, rng.standard_normal(100), 101 * tau_dense, tau_dense, id="dense-L")
+    for N in (1, 1001, 3 * 2 ** 12):
+        yield pytest.param(testbed, u0, N * tau, tau, id=f"testbed-N={N}")
+
+
+@pytest.mark.parametrize("ops, u0, T, tau_ref", list(reference_cases()))
+def test_rk4_reference_matches_matrix_power(ops, u0, T, tau_ref):
+    want = matrix_power_reference(ops, u0, T, tau_ref)
+    got = solve_reference_rk4(ops, u0, T, tau_ref)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("N, squares", [(2 ** 16, 9), (2 ** 16 + 1, 9), (3 * 2 ** 14, 8)])
+def test_rk4_reference_squares_until_matvecs_are_cheaper(monkeypatch, N, squares):
+    """At n = 399 squaring stops once at most n/2 factors are left, for odd and
+    non-power-of-two N too; the other 3 banded products form P."""
+    calls = []
+    band_matmul = stepping._band_matmul
+    monkeypatch.setattr(stepping, "_band_matmul", lambda *a: calls.append(a) or band_matmul(*a))
+    g = build_grid(399)
+    solve_reference_rk4(build_operators(g, 0.2), initial_data(g), N * 2.0 ** -16, 2.0 ** -16)
+    assert len(calls) == 3 + squares
