@@ -148,18 +148,26 @@ def _phi_levels(Y, kmax):
     At ||Y||_1 <= 1 one Horner pass gives the Taylor sum of phi_kmax(Y) and
     then phi_j = Y phi_{j+1} + I/j!; each level is one doubling
     phi_j(2Y) = 2^-j (phi_0 phi_j + sum_{i=1..j} phi_i / (j-i)!).
+    Both run in place, as fresh n x n temporaries page-fault: Horner starts at I/(kmax+19)!
+    (Y @ 0 + I/(kmax+19)! for finite Y) and adds 1/j! to Y @ P's diagonal; a doubling sums
+    into its fresh entry via one scratch and scales by 0.5^j. Values are the out-of-place ones.
     """
-    I = np.eye(Y.shape[0])
-    P, phis = np.zeros_like(Y), []
-    for j in range(kmax + _PHI_TAYLOR_TERMS - 1, -1, -1):
-        P = Y @ P + I / math.factorial(j)
+    P, phis, spare = np.zeros_like(Y), [], np.empty_like(Y)
+    P.flat[::len(Y) + 1] = 1.0 / math.factorial(kmax + _PHI_TAYLOR_TERMS - 1)
+    for j in range(kmax + _PHI_TAYLOR_TERMS - 2, -1, -1):
+        P = Y @ P
+        P.flat[::len(Y) + 1] += 1.0 / math.factorial(j)
         if j <= kmax:
             phis.insert(0, P)
     while True:
         yield phis
-        phis = [(phis[0] @ phis[j]
-                 + sum(phis[i] / math.factorial(j - i) for i in range(1, j + 1))) / 2.0 ** j
-                for j in range(kmax + 1)]
+        old, phis = phis, [phis[0] @ phis[0]]
+        for j in range(1, kmax + 1):
+            G = old[1] / math.factorial(j - 1)
+            for i in range(2, j + 1):  # skips the exact division by (j - i)! = 1
+                G += old[i] if j - i < 2 else np.divide(old[i], math.factorial(j - i), out=spare)
+            G += np.matmul(old[0], old[j], out=spare)
+            phis.append(np.multiply(G, 0.5 ** j, out=G))
 
 
 def _chain_levels(M, kmax, bound, levels):

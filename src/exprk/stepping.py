@@ -172,8 +172,10 @@ def solve_reference_rk4(ops: OperatorPair, u0, T: float, tau_ref: float):
         raise ParameterError(
             f"tau_ref={tau_ref:g} exceeds RK4 stability bound "
             f"{RK4_STABILITY_LIMIT / rho:g} (spectral radius <= {rho:g})")
-    n, w = L.shape[0], int(np.abs(np.subtract(*np.nonzero(L))).max(initial=0))
-    M = tau_ref * L  # of L's bandwidth w
+    n, nz = L.shape[0], L != 0  # w = max |i - j| over nonzeros: each row's first and last
+    i, first, last = np.arange(n), nz.argmax(axis=1), n - 1 - nz[:, ::-1].argmax(axis=1)
+    w = int(np.maximum(i - first, last - i)[nz[i, first]].max(initial=0))
+    M = np.multiply(L, tau_ref, out=L)  # of bandwidth w; L is not read again
     # RK4 on a linear autonomous system is the quartic Taylor polynomial, so N
     # steps are P^N u0 with P = I + M (I + M (I/2 + M (I/6 + M/24))) of bandwidth 4w.
     P, spare = M / 24.0, np.zeros((n, n))

@@ -237,6 +237,68 @@ def test_phi_matrices_shared_chains_match_one_key_calls():
         assert np.array_equal(table[k, 0.0], np.eye(8) / math.factorial(k))
 
 
+def out_of_place_phi_levels(Y, kmax):
+    """_phi_levels as plain out-of-place formulas: Horner from P = 0 and a fresh
+    sum per doubling; the in-place chain must give its values bit for bit."""
+    I = np.eye(Y.shape[0])
+    P, phis = np.zeros_like(Y), []
+    for j in range(kmax + 19, -1, -1):
+        P = Y @ P + I / math.factorial(j)
+        if j <= kmax:
+            phis.insert(0, P)
+    while True:
+        yield phis
+        phis = [(phis[0] @ phis[j]
+                 + sum(phis[i] / math.factorial(j - i) for i in range(1, j + 1))) / 2.0 ** j
+                for j in range(kmax + 1)]
+
+
+def test_phi_levels_match_out_of_place_formulas():
+    # 12 doublings take ||2^12 Y||_1 up to 4096, past overflow for the largest,
+    # so inf and nan levels are compared too (array_equal ignores zero signs)
+    rng = np.random.default_rng(31)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for trial in range(300):
+            n = int(rng.integers(1, 13))
+            Y = rng.standard_normal((n, n))
+            if trial % 2:
+                Y = Y + Y.T
+            Y *= 10.0 ** rng.uniform(-6, 0) / np.linalg.norm(Y, 1)
+            kmax = trial % (MAX_PHI_ORDER + 1)
+            pairs = zip(matfuncs._phi_levels(Y, kmax), out_of_place_phi_levels(Y, kmax))
+            for level, (got, ref) in zip(range(13), pairs):
+                for k in range(kmax + 1):
+                    assert np.array_equal(got[k], ref[k], equal_nan=True), (trial, level, k)
+
+
+class CountedY(np.ndarray):
+    """Counts the matmuls (by @ or np.matmul) whose left operand is this array."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[0] is self:
+            self.products += 1
+
+        def plain(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, CountedY) else x for x in xs)
+
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+
+@pytest.mark.parametrize("kmax", [1, 3, MAX_PHI_ORDER])
+def test_phi_horner_pass_runs_kmax_plus_19_products(kmax):
+    # 20 Taylor terms from the diagonal I/(kmax+19)!: Y @ 0 is never formed,
+    # and the doublings multiply phi matrices only
+    Y = (np.random.default_rng(37).standard_normal((6, 6)) / 12.0).view(CountedY)
+    Y.products = 0
+    levels = matfuncs._phi_levels(Y, kmax)
+    next(levels)
+    assert Y.products == kmax + 19
+    next(levels)
+    assert Y.products == kmax + 19
+
+
 def test_expm_levels_are_expm_of_halvings():
     # ||X||_1 = 300 takes 6 squarings; level 6 - j of the chain is expm(X / 2^j)
     rng = np.random.default_rng(29)

@@ -567,6 +567,22 @@ def test_rk4_reference_matches_matrix_power(ops, u0, T, tau_ref):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("lower, upper, zero_rows", [
+    (0, 0, ()), (1, 1, ()), (3, 1, (0, 5)), (0, 7, (39,)), (5, 0, range(10)), (39, 2, (38,))])
+def test_rk4_reference_reads_the_bandwidth_of_L(monkeypatch, lower, upper, zero_rows):
+    """w = max |i - j| over L's nonzeros, wherever they sit and with all-zero rows."""
+    rng = np.random.default_rng(lower + upper)
+    i, j = np.indices((40, 40))
+    L = np.where((j - i <= upper) & (i - j <= lower), rng.standard_normal((40, 40)), 0.0)
+    L[list(zero_rows)] = 0.0
+    calls = []
+    band_matmul = stepping._band_matmul
+    monkeypatch.setattr(stepping, "_band_matmul", lambda *a: calls.append(a[1]) or band_matmul(*a))
+    ops = OperatorPair(A=np.zeros((40, 40)), B=L, nu=0.0)
+    solve_reference_rk4(ops, np.ones(40), 2.0 ** -8, 2.0 ** -8)
+    assert calls[0] == max(lower, upper)
+
+
 @pytest.mark.parametrize("N, squares", [(2 ** 16, 9), (2 ** 16 + 1, 9), (3 * 2 ** 14, 8)])
 def test_rk4_reference_squares_until_matvecs_are_cheaper(monkeypatch, N, squares):
     """At n = 399 squaring stops once at most n/2 factors are left, for odd and
