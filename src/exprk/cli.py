@@ -17,7 +17,7 @@ from . import convergence, discretize, orderconditions, probes, stepping
 from .convergence import ExperimentSpec
 from .errors import ParameterError
 from .tableau_io import LocatedError, assignments, load_tableau, read_text
-from .tableaus import ORDER_CLAIMS
+from .tableaus import BUILTIN_SCHEMES, ORDER_CLAIMS
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -41,7 +41,7 @@ def natural(text: str) -> int:
 # The settings the subcommands share, {dest: (type, help)}; the flag is the dest with
 # '_' as '-', the --config key the dest. Each help states ExperimentSpec's default.
 SETTINGS = {
-    "scheme": (str, f"euler | rk2 | rk3paper (default: {ExperimentSpec.scheme})"),
+    "scheme": (str, f"{' | '.join(BUILTIN_SCHEMES)} (default: {ExperimentSpec.scheme})"),
     "c": (float, f"free node of the rk2 family (default: {ExperimentSpec.c:g})"),
     "tableau": (str, "path to a custom tableau file (overrides --scheme)"),
     "n": (int, f"inner grid points (default: {ExperimentSpec.n_inner})"),
@@ -97,6 +97,9 @@ def _build_parser():
                    help="fail unless the scheme passes all conditions of this order "
                    "(default: the scheme's own claims)")
 
+    flags = {}  # {probe kinds: the flags that apply to them}, from PROBE_FLAGS
+    for flag, (_, kinds) in PROBE_FLAGS.items():
+        flags.setdefault(" and ".join(kinds), []).append("--" + flag)
     p = sub.add_parser("probe", help="numerical probes of the analytical bounds",
                        description="The verdict 'bounded' (exit 0, else 1) is a stagnation "
                        f"rule over the sampled grid: the last value is at most "
@@ -104,9 +107,8 @@ def _build_parser():
                        "the median of the earlier ones. It is not a proof; the "
                        "fourier case --beta 0.49 --norm linf --coeffs 1/k reads "
                        "unbounded although its series is absolutely summable. "
-                       "--gamma, --n and --nu apply to smoothing and relbound; --beta, "
-                       "--norm and --coeffs to fourier; each is a usage error on any other "
-                       "kind.")
+                       + "; ".join(f"{', '.join(f)} apply to {k}" for k, f in flags.items())
+                       + "; each is a usage error on any other kind.")
     p.set_defaults(handler=cmd_probe)
     p.add_argument("kind", choices=("smoothing", "relbound", "fourier"))
     p.add_argument("--gamma", type=float,
@@ -187,8 +189,7 @@ def cmd_probe(args, spec) -> int:
         ops = discretize.build_operators(g, spec.nu)
         report = probes.smoothing_probe(ops, args.gamma, probes.DEFAULT_SMOOTHING_TIMES)
     elif args.kind == "relbound":
-        sizes = tuple(n for n in probes.DEFAULT_RELBOUND_SIZES if n <= spec.n_inner)
-        sizes = sizes or (spec.n_inner,)
+        sizes = (*(n for n in probes.DEFAULT_RELBOUND_SIZES if n < spec.n_inner), spec.n_inner)
         report = probes.relative_boundedness_probe(args.gamma, sizes, spec.nu)
     else:
         rule = (probes.sine_coefficients_initial_data if args.coeffs == "u0"

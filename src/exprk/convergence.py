@@ -22,6 +22,7 @@ NORMS = ("l1", "l2", "linf")
 FLAG_OK = "ok"
 FLAG_UNSTABLE = "unstable"
 FLAG_IDENTICAL = "identical"  # error exactly zero against the reference
+REF_STEPS_PER_TAU = 16  # tau_ref is at most min(tau_list) / this
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,9 @@ class ExperimentSpec:
         for tau in self.tau_list:
             stepping.check_divides(self.T, tau)
         if self.tau_ref is not None:
-            if self.tau_ref > min(self.tau_list) / 16.0:
-                raise ParameterError(
-                    f"tau_ref={self.tau_ref:g} must be at most min(tau_list)/16")
+            if self.tau_ref > min(self.tau_list) / REF_STEPS_PER_TAU:
+                raise ParameterError(f"tau_ref={self.tau_ref:g} must be at most "
+                                     f"min(tau_list)/{REF_STEPS_PER_TAU}")
             stepping.check_divides(self.T, self.tau_ref, "tau_ref")
 
     def resolve_tableau(self) -> Tableau:
@@ -106,11 +107,11 @@ def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:
     grid = discretize.build_grid(spec.n_inner)
     ops = discretize.build_operators(grid, spec.nu)
     u0 = discretize.initial_data(grid)
-    tau_ref = spec.tau_ref
+    tau_ref, cap = spec.tau_ref, min(spec.tau_list) / REF_STEPS_PER_TAU
     if tau_ref is None:
-        tau_ref = stepping.default_reference_step(ops, spec.T)
-        tau_ref = min(tau_ref, min(spec.tau_list) / 16.0)
-        tau_ref = spec.T / math.ceil(spec.T / tau_ref)
+        tau_ref = stepping.default_reference_step(ops, spec.T)  # already T / N
+        if tau_ref > cap:
+            tau_ref = spec.T / math.ceil(spec.T / cap)
     u_ref = stepping.solve_reference_rk4(ops, u0, spec.T, tau_ref)
 
     rows = []
@@ -144,10 +145,7 @@ def render_csv(report: ConvergenceReport) -> str:
 
 
 def write_csv(text: str, destination):
-    """The one CSV writer for studies and probes: a path or file-like object, UTF-8, LF."""
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
+    """The one CSV writer for studies and probes: text to the path destination, UTF-8, LF."""
     try:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -116,9 +116,9 @@ def discrete_norms(g: Grid1D, v) -> NormTriple:
     if v.shape != (g.n_inner,):
         raise DimensionError(
             f"vector length {v.shape} does not match grid size {g.n_inner}")
-    h = g.h
-    return NormTriple(
-        l1=float(h * np.abs(v).sum()),
-        l2=float(np.sqrt(h * (v ** 2).sum())),
-        linf=float(np.abs(v).max()) if v.size else 0.0,
-    )
+    h, linf = g.h, float(np.abs(v).max()) if v.size else 0.0
+    with np.errstate(over="ignore"):
+        l2 = float(np.sqrt(h * (v ** 2).sum()))
+    if l2 == np.inf and np.isfinite(linf):  # v ** 2 overflowed (max|v| > ~1.3e154)
+        l2 = linf * float(np.sqrt(h * ((v / linf) ** 2).sum()))
+    return NormTriple(l1=float(h * np.abs(v).sum()), l2=l2, linf=linf)

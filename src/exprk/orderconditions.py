@@ -123,7 +123,6 @@ class ConditionResidual:
 @dataclass(frozen=True)
 class OrderConditionReport:
     scheme: str
-    seed: int
     rows: Tuple[ConditionResidual, ...]
 
     def to_table(self) -> str:
@@ -173,7 +172,7 @@ def full_report(tableau: Tableau, z_seed: int = 0) -> OrderConditionReport:
             Jr = np.random.default_rng(z_seed + 1).standard_normal((n, n))
             (resid, rhs), = _residuals(tableau, 5, phi, Jr, mode).values()
             rows.append(ConditionResidual(5, 0, mode, z_spec + "+randJ", resid, rhs))
-    return OrderConditionReport(scheme=tableau.name, seed=z_seed, rows=tuple(rows))
+    return OrderConditionReport(scheme=tableau.name, rows=tuple(rows))
 
 
 def first_failure(claims, report: OrderConditionReport) -> Optional[ConditionResidual]:

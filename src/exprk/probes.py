@@ -67,6 +67,14 @@ def _check_grid(grid, name):
     return g
 
 
+def _check_sizes(sizes, name):
+    """_check_grid of sizes, which must also be integers (64.0 is one)."""
+    g = _check_grid(sizes, name)
+    if np.any(g != np.round(g)):
+        raise ParameterError(f"{name} must hold integers, got {g.tolist()}")
+    return g
+
+
 def _report(grid, values, label):
     values = np.asarray(values, dtype=float)
     return ProbeReport(grid=grid, values=values, max_value=float(values.max()),
@@ -119,7 +127,7 @@ def relative_boundedness_probe(gamma: float, n_list: Sequence[int],
     from A's closed-form eigenpairs and both products from B's stencil."""
     if not 0.0 < gamma <= 1.0:
         raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
-    n_list = _check_grid(n_list, "n_list")
+    n_list = _check_sizes(n_list, "n_list")
     values = []
     for n in n_list:
         g = discretize.build_grid(int(n))
@@ -160,8 +168,8 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
         raise ParameterError(f"beta must be finite, got {beta}")
     if x_grid < 1000:
         raise ParameterError(f"need at least 1000 evaluation points, got {x_grid}")
-    N_list = [int(N) for N in N_list]
-    grid = _check_grid(N_list, "N_list")
+    grid = _check_sizes(N_list, "N_list")
+    N_list = [int(N) for N in grid]
     x = np.linspace(0.0, 1.0, x_grid)
     h = 1.0 / (x_grid - 1)
     L = 2 * (x_grid - 1)

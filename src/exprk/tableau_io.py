@@ -43,7 +43,7 @@ def read_text(path, what: str) -> str:
 
 
 def assignments(text: str, source):
-    """(line_no, value column, target, value) of each assignment line of text."""
+    """(line_no, value column counted from 1, target, value) of each assignment line."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -52,7 +52,8 @@ def assignments(text: str, source):
             raise LocatedError(source, line_no, None,
                                f"expected '<target> = <value>', got {line!r}")
         lhs, rhs = (part.strip() for part in line.split("=", 1))
-        yield line_no, raw.index("=") + 2, lhs, rhs
+        after = raw[raw.index("=") + 1:]
+        yield line_no, len(raw) - len(after.lstrip()) + 1, lhs, rhs
 
 
 _TERM_RE = re.compile(r"^scale:(?P<scale>\S+)\s+phi:(?P<phi>\S+)\s+w:(?P<w>\S+)$")
@@ -60,24 +61,24 @@ _A_RE = re.compile(r"^a\[(\d+)\]\[(\d+)\]$")
 _B_RE = re.compile(r"^b\[(\d+)\]$")
 
 
-def _parse_combo(rhs: str, source, line_no: int, offset: int) -> PhiCombo:
+def _parse_combo(rhs: str, source, line_no: int, column: int) -> PhiCombo:
+    """The combo of value rhs, which starts at the line's column; errors name a term's."""
     terms = []
-    pos = offset
     for chunk in rhs.split("+"):
         text = chunk.strip()
+        at = column + chunk.index(text[0]) if text else column
         m = _TERM_RE.match(text)
         if not m:
-            raise LocatedError(
-                source, line_no, pos + chunk.index(text[0]) + 1 if text else pos + 1,
-                f"expected 'scale:<c> phi:<k> w:<weight>', got {text!r}")
+            raise LocatedError(source, line_no, at,
+                               f"expected 'scale:<c> phi:<k> w:<weight>', got {text!r}")
         try:
             scale = float(m.group("scale"))
             order = int(m.group("phi"))
             weight = float(m.group("w"))
         except ValueError as exc:
-            raise LocatedError(source, line_no, pos + 1, str(exc)) from exc
+            raise LocatedError(source, line_no, at, str(exc)) from exc
         terms.append(PhiTerm(scale=scale, order=order, weight=weight))
-        pos += len(chunk) + 1
+        column += len(chunk) + 1
     return PhiCombo(terms=tuple(terms))
 
 
@@ -94,12 +95,10 @@ def parse_tableau(text: str, source="<tableau>") -> Tableau:
                 c = tuple(float(v) for v in rhs.split(","))
             except ValueError as exc:
                 raise LocatedError(source, line_no, rhs_col, f"bad node list: {exc}") from exc
-        elif _A_RE.match(lhs):
-            i, j = (int(g) for g in _A_RE.match(lhs).groups())
-            a[(i, j)] = _parse_combo(rhs, source, line_no, rhs_col)
-        elif _B_RE.match(lhs):
-            i = int(_B_RE.match(lhs).group(1))
-            b[i] = _parse_combo(rhs, source, line_no, rhs_col)
+        elif m := _A_RE.match(lhs):
+            a[int(m[1]), int(m[2])] = _parse_combo(rhs, source, line_no, rhs_col)
+        elif m := _B_RE.match(lhs):
+            b[int(m[1])] = _parse_combo(rhs, source, line_no, rhs_col)
         else:
             raise LocatedError(source, line_no, None, f"unknown target {lhs!r}")
     if c is None:
@@ -114,7 +113,7 @@ def parse_tableau(text: str, source="<tableau>") -> Tableau:
             name=name, c=c, a=a,
             b=tuple(b.get(i, empty) for i in range(1, s + 1)),
         )
-    except ContractError as exc:  # e.g. a[i][j] outside the stages, or a scale outside [0, 1]
+    except ContractError as exc:  # a[i][j] outside the stages, a scale or phi order out of range
         raise LocatedError(source, None, None, str(exc)) from exc
 
 

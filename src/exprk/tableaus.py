@@ -15,7 +15,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .matfuncs import phi_matrices
+from .matfuncs import MAX_PHI_ORDER, phi_matrices
 
 # The claims {condition: form} a scheme of stiff order p must satisfy;
 # condition 5 only needs to hold weakly for stiff order three.
@@ -86,6 +86,8 @@ class Tableau:
             for t in combo.terms:
                 if not (0.0 <= t.scale <= 1.0):
                     raise ContractError(f"phi argument scale {t.scale} outside [0, 1]")
+                if t.order not in range(MAX_PHI_ORDER + 1):
+                    raise ContractError(f"phi order {t.order} is not one of 0..{MAX_PHI_ORDER}")
                 if not math.isfinite(t.weight):
                     raise ContractError("non-finite coefficient weight")
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from exprk import convergence
+from exprk import convergence, probes
 from exprk.cli import main, read_config
 from exprk.convergence import ConvergenceRow, ExperimentSpec
 from exprk.tableau_io import LocatedError, parse_tableau
@@ -184,6 +184,22 @@ def test_probe_relbound_small_gamma_unbounded(capsys):
     assert code == 1 and "verdict=unbounded" in stdout
 
 
+@pytest.mark.parametrize("n, sizes", [
+    (399, (25, 50, 100, 200, 399)), (200, (25, 50, 100, 200)),
+    (300, (25, 50, 100, 200, 300)), (30, (25, 30)), (10, (10,)),
+])
+def test_probe_relbound_runs_default_sizes_below_n_then_n(capsys, monkeypatch, n, sizes):
+    seen = []
+
+    def spy(gamma, n_list, nu):
+        seen.append(tuple(n_list))
+        return probes.ProbeReport(np.asarray(n_list, dtype=float), np.ones(len(n_list)),
+                                  1.0, True, "spy")
+    monkeypatch.setattr(probes, "relative_boundedness_probe", spy)
+    assert run(["probe", "relbound", "--n", str(n)], capsys)[0] == 0
+    assert seen == [sizes]
+
+
 def test_probe_fourier_smooth_data(capsys):
     code, stdout, _ = run(["probe", "fourier", "--beta", "0.24",
                            "--coeffs", "u0", "--norm", "l2"], capsys)
@@ -322,6 +338,25 @@ def test_tableau_file_error_names_the_file(tmp_path, capsys, text, where):
     path.write_text(text)
     code, _, stderr = run(["check-order", "--tableau", str(path)], capsys)
     assert code == 2 and stderr.startswith(f"error: {path}{where}")
+
+
+@pytest.mark.parametrize("spaces", [0, 1, 3])
+def test_tableau_error_column_is_the_value_character(spaces):
+    """Columns count from 1 in the line, whatever the spacing after '='."""
+    eq = "=" + " " * spaces
+    with pytest.raises(LocatedError) as exc:
+        parse_tableau(f"c {eq}0,x\n")
+    assert (exc.value.line_no, exc.value.column) == (1, 3 + spaces + 1)  # the '0'
+    with pytest.raises(LocatedError) as exc:
+        parse_tableau(f"c = 0\nb[1] {eq}scale:1 phi:1 w:1 + bad\n")
+    assert (exc.value.line_no, exc.value.column) == (2, 6 + spaces + 21)  # the 'b' of bad
+
+
+def test_tableau_phi_order_out_of_range_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.tab"
+    path.write_text("c = 0\nb[1] = scale:1 phi:9 w:1\n")
+    code, _, stderr = run(["check-order", "--tableau", str(path)], capsys)
+    assert code == 2 and stderr.startswith(f"error: {path}: phi order 9 ")
 
 
 @pytest.mark.parametrize("text, fragment", [

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from exprk import discretize, stepping
 from exprk.convergence import (FLAG_IDENTICAL, FLAG_OK, FLAG_UNSTABLE,
                                ConvergenceRow, ExperimentSpec, fit_order,
                                render_csv, run_experiment, write_csv)
 from exprk.errors import InsufficientDataError, ParameterError
+from exprk.tableau_io import parse_tableau
 from test_cli import parse_csv
 
 
@@ -101,6 +103,40 @@ def test_run_experiment_custom_tableau_overrides_scheme():
                                         tableau=exponential_euler(), **SMALL))
     assert rep.scheme == "euler"
     assert 0.9 <= rep.fitted_order["l2"] <= 1.15
+
+
+def test_run_experiment_divides_T_once_for_the_reference_step():
+    """The stability-derived step is kept as it is unless min(tau_list)/16 caps it."""
+    spec = ExperimentSpec(n_inner=255, nu=1.0, scheme="euler")
+    ops = discretize.build_operators(discretize.build_grid(255), 1.0)
+    tau_ref = stepping.default_reference_step(ops, spec.T)
+    assert round(1.0 / tau_ref) == 107879 and run_experiment(spec).tau_ref == tau_ref
+    capped = ExperimentSpec(n_inner=10, scheme="euler", tau_list=(2.0 ** -3, 2.0 ** -4,
+                                                                  2.0 ** -5, 2.0 ** -13))
+    assert run_experiment(capped).tau_ref == 2.0 ** -17
+
+
+def amplified_euler_study(weight):
+    """Exponential Euler with B scaled by weight, n = 31, tau = 2^-1..2^-7."""
+    tab = parse_tableau(f"c = 0\nb[1] = scale:1 phi:1 w:{weight}\n")
+    return run_experiment(ExperimentSpec(n_inner=31, tableau=tab,
+                                         tau_list=tuple(2.0 ** -k for k in range(1, 8))))
+
+
+def test_run_experiment_fits_finite_orders_past_square_overflow():
+    # the tau = 2^-7 error is ~2e260, whose square overflows
+    rep = amplified_euler_study(1000)
+    assert [r.flag for r in rep.rows] == [FLAG_OK] * 7
+    assert rep.rows[-1].err_l1 > 1e250 and math.isfinite(rep.rows[-1].err_l2)
+    assert all(math.isfinite(order) for order in rep.fitted_order.values())
+
+
+def test_run_experiment_flags_unstable_row_and_fits_the_rest():
+    with pytest.warns(RuntimeWarning):
+        rep = amplified_euler_study(1e4)
+    assert [r.flag for r in rep.rows] == [FLAG_OK] * 6 + [FLAG_UNSTABLE]
+    assert all(math.isnan(rep.rows[-1].err(nm)) for nm in ("l1", "l2", "linf"))
+    assert rep.fitted_order == fit_order(rep.rows[:-1])[0]
 
 
 # -------------------------------------------------------------------- CSV

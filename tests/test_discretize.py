@@ -183,6 +183,17 @@ def test_discrete_norms_examples():
     assert e1.l2 ** 2 == pytest.approx(e1.l1 * e1.linf)
 
 
+def test_discrete_norms_l2_past_square_overflow():
+    """l2 stays finite where v ** 2 overflows, and keeps the plain sum's bits below."""
+    g = build_grid(31)
+    w = np.random.default_rng(0).uniform(-3.0, 3.0, 31)
+    plain = float(np.sqrt(g.h * (w ** 2).sum()))
+    big = discrete_norms(g, w * 2.0 ** 600)  # squares reach 2^1200
+    assert big.l2 == pytest.approx(plain * 2.0 ** 600, rel=1e-14)
+    assert discrete_norms(g, w * 2.0 ** 500).l2 == plain * 2.0 ** 500
+    assert discrete_norms(g, np.full(31, np.inf)).l2 == np.inf
+
+
 def test_discrete_norms_dimension_error():
     with pytest.raises(DimensionError):
         discrete_norms(build_grid(3), np.zeros(4))

@@ -315,6 +315,22 @@ def test_fourier_probe_validates_N_list_before_summing():
             fourier_beta_probe(never, 0.4, N_list)
 
 
+def test_probes_reject_sizes_that_are_not_integers():
+    """A size is never truncated: 10.7 used to report grid 10.7 and compute n = 10."""
+    with pytest.raises(ParameterError, match="n_list must hold integers"):
+        relative_boundedness_probe(0.5, [10.7, 20.2])
+    with pytest.raises(ParameterError, match="N_list must hold integers"):
+        fourier_beta_probe(sine_coefficients_initial_data, 0.2, [64.9, 128.5])
+
+
+def test_probes_take_integral_float_sizes():
+    co = sine_coefficients_initial_data
+    assert np.array_equal(relative_boundedness_probe(0.5, [10.0, 20.0]).values,
+                          relative_boundedness_probe(0.5, [10, 20]).values)
+    assert np.array_equal(fourier_beta_probe(co, 0.2, [64.0, 128.0]).values,
+                          fourier_beta_probe(co, 0.2, [64, 128]).values)
+
+
 def test_fourier_probe_rejects_bad_args():
     co = sine_coefficients_initial_data
     with pytest.raises(ParameterError):

@@ -1,6 +1,7 @@
 """Scheme construction and time stepping, checked against scalar exact solutions."""
 
 import functools
+import re
 import warnings
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 
 from exprk import matfuncs, stepping
 from exprk.discretize import OperatorPair, build_grid, build_operators, initial_data
-from exprk.errors import InstabilityError, ParameterError
+from exprk.errors import ContractError, DimensionError, InstabilityError, ParameterError
 from exprk.matfuncs import expm, phi_combination, phi_values, sym_eigen
 from exprk.stepping import (Stepper, default_reference_step, solve,
                             solve_reference_rk4, spectral_radius_estimate)
 from exprk.tableau_io import parse_tableau
-from exprk.tableaus import exponential_euler, resolve_scheme, second_order, third_order
+from exprk.tableaus import (PhiCombo, PhiTerm, Tableau, exponential_euler, resolve_scheme,
+                            second_order, third_order)
 
 
 def scalar_ops(a, b):
@@ -59,6 +61,21 @@ def test_resolve_scheme_names():
     assert resolve_scheme("rk3paper").s == 3
     with pytest.raises(ParameterError):
         resolve_scheme("etd3rk")
+
+
+PHI1 = PhiCombo((PhiTerm(1.0, 1, 1.0),))
+
+
+@pytest.mark.parametrize("c, b, fragment", [
+    ((0.5,), (PHI1,), "first node must be 0"),
+    ((0.0, 0.5), (PHI1,), "one combo per stage"),
+    ((0.0,), (PhiCombo((PhiTerm(1.0, 1, np.inf),)),), "non-finite coefficient weight"),
+    ((0.0,), (PhiCombo((PhiTerm(1.0, 9, 1.0),)),), "phi order 9"),
+    ((0.0,), (PhiCombo((PhiTerm(1.0, 1.5, 1.0),)),), "phi order 1.5"),
+], ids=["first-node", "b-count", "weight", "order-9", "order-1.5"])
+def test_tableau_rejects_broken_structure(c, b, fragment):
+    with pytest.raises(ContractError, match=re.escape(fragment)):
+        Tableau(name="bad", c=c, a={}, b=b)
 
 
 # ------------------------------------------------------------------- step
@@ -365,6 +382,14 @@ def test_stepper_rejects_bad_step_size(tau):
         Stepper(exponential_euler(), scalar_ops(1.0, 0.0), tau)
 
 
+@pytest.mark.parametrize("A, B", [(np.zeros((2, 3)), np.zeros((2, 2))),
+                                  (np.zeros((2, 2)), np.zeros((3, 3)))],
+                         ids=["A-not-square", "B-other-size"])
+def test_stepper_rejects_operator_shapes(A, B):
+    with pytest.raises(DimensionError, match="square and equally sized"):
+        Stepper(exponential_euler(), OperatorPair(A=A, B=B, nu=0.0), 0.25)
+
+
 @pytest.mark.parametrize("T, tau", [(1.0, 0.3), (1.0, 2.0), (1.0, 0.0), (1.0, -0.25),
                                     (1.0, np.nan), (np.inf, 0.25), (np.nan, 0.25)])
 def test_solve_rejects_nondivisible_horizon(T, tau):
@@ -470,6 +495,13 @@ def test_rk4_stability_guard():
     # rho(A) ~ 4 nu / h^2 = 8000, so tau_ref = 0.01 is far outside the bound
     with pytest.raises(ParameterError):
         solve_reference_rk4(ops, initial_data(g), 1.0, 0.01)
+
+
+def test_rk4_reference_reports_non_finite_result():
+    # rho = 1000 lets tau_ref = 2^-9 pass the guard, but e^2000 overflows
+    ops = OperatorPair(A=np.zeros((2, 2)), B=np.diag([1000.0, 0.0]), nu=0.0)
+    with pytest.warns(RuntimeWarning), pytest.raises(InstabilityError, match="reference"):
+        solve_reference_rk4(ops, np.ones(2), 2.0, 2.0 ** -9)
 
 
 def test_spectral_radius_estimate_testbed():
