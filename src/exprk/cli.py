@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: convergence (testbed order study), check-order (stiff order
-conditions), probe (smoothing / relative boundedness / Fourier sums),
-solve (single run, prints final-state norms).
+conditions), probe smoothing | relbound | fourier (each kind takes only its own
+flags), solve (single run, prints final-state norms). One parser per process.
 
 Exit codes: 0 success, 1 runtime or verdict failure, 2 usage/config error.
 """
@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime or verdict failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from math import log2
 
@@ -54,17 +55,8 @@ SETTINGS = {
     "out": (str, f"output CSV path (default: {DEFAULT_OUT})"),
 }
 
-
-# Each probe flag: its default (None: a shared setting, defaulting to ExperimentSpec's)
-# and the probe kinds it applies to; any other kind rejects it.
-PROBE_FLAGS = {
-    "gamma": (0.5, ("smoothing", "relbound")),
-    "n": (None, ("smoothing", "relbound")),
-    "nu": (None, ("smoothing", "relbound")),
-    "beta": (0.24, ("fourier",)),
-    "norm": ("l2", ("fourier",)),
-    "coeffs": ("u0", ("fourier",)),
-}
+# The Fourier probe's --coeffs choices and the rule each names.
+COEFFS = {"u0": probes.sine_coefficients_initial_data, "1/k": probes.worst_case_coefficients}
 
 
 def _add_settings(p, keys, **helps):
@@ -73,6 +65,7 @@ def _add_settings(p, keys, **helps):
         p.add_argument("--" + key.replace("_", "-"), type=kind, help=helps.get(key, text))
 
 
+@functools.cache  # parse_args never changes the parser, so one serves every call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="exprk",
@@ -97,30 +90,28 @@ def _build_parser():
                    help="fail unless the scheme passes all conditions of this order "
                    "(default: the scheme's own claims)")
 
-    flags = {}  # {probe kinds: the flags that apply to them}, from PROBE_FLAGS
-    for flag, (_, kinds) in PROBE_FLAGS.items():
-        flags.setdefault(" and ".join(kinds), []).append("--" + flag)
     p = sub.add_parser("probe", help="numerical probes of the analytical bounds",
                        description="The verdict 'bounded' (exit 0, else 1) is a stagnation "
-                       f"rule over the sampled grid: the last value is at most "
-                       f"{probes.TREND_FACTOR:g}x "
-                       "the median of the earlier ones. It is not a proof; the "
-                       "fourier case --beta 0.49 --norm linf --coeffs 1/k reads "
-                       "unbounded although its series is absolutely summable. "
-                       + "; ".join(f"{', '.join(f)} apply to {k}" for k, f in flags.items())
-                       + "; each is a usage error on any other kind.")
+                       "rule over the sampled grid: the last value is at most "
+                       f"{probes.TREND_FACTOR:g}x the median of the earlier ones. It is not a "
+                       "proof; the fourier case --beta 0.49 --norm linf --coeffs 1/k reads "
+                       "unbounded although its series is absolutely summable. The kind comes "
+                       "first; 'exprk probe KIND --help' lists its flags.")
     p.set_defaults(handler=cmd_probe)
-    p.add_argument("kind", choices=("smoothing", "relbound", "fourier"))
-    p.add_argument("--gamma", type=float,
-                   help=f"fractional exponent (default: {PROBE_FLAGS['gamma'][0]})")
-    p.add_argument("--beta", type=float,
-                   help=f"Fourier probe exponent (default: {PROBE_FLAGS['beta'][0]})")
-    p.add_argument("--norm", choices=("l1", "l2", "linf"),
-                   help=f"norm for the Fourier probe (default: {PROBE_FLAGS['norm'][0]})")
-    p.add_argument("--coeffs", choices=("u0", "1/k"),
-                   help="Fourier coefficient rule: initial-data sine series or 1/k "
-                   f"(default: {PROBE_FLAGS['coeffs'][0]})")
-    _add_settings(p, ("n", "nu", "out"), out="optional CSV output path")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in ("smoothing", "relbound"):
+        k = kinds.add_parser(kind, allow_abbrev=False)
+        k.add_argument("--gamma", type=float, default=0.5,
+                       help="fractional exponent (default: %(default)s)")
+        _add_settings(k, ("n", "nu", "out"), out="optional CSV output path")
+    k = kinds.add_parser("fourier", allow_abbrev=False)
+    k.add_argument("--beta", type=float, default=0.24,
+                   help="Fourier probe exponent (default: %(default)s)")
+    k.add_argument("--norm", choices=("l1", "l2", "linf"), default="l2",
+                   help="norm for the Fourier probe (default: %(default)s)")
+    k.add_argument("--coeffs", choices=COEFFS, default="u0", help="Fourier coefficient rule: "
+                   "initial-data sine series or 1/k (default: %(default)s)")
+    _add_settings(k, ("out",), out="optional CSV output path")
 
     p = sub.add_parser("solve", help="single run; prints final-state norms")
     p.set_defaults(handler=cmd_solve)
@@ -179,11 +170,6 @@ def cmd_check_order(args, spec) -> int:
 
 
 def cmd_probe(args, spec) -> int:
-    for key, (default, kinds) in PROBE_FLAGS.items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
-        elif args.kind not in kinds:
-            raise ParameterError(f"--{key} does not apply to probe {args.kind}")
     if args.kind == "smoothing":
         g = discretize.build_grid(spec.n_inner)
         ops = discretize.build_operators(g, spec.nu)
@@ -192,9 +178,7 @@ def cmd_probe(args, spec) -> int:
         sizes = (*(n for n in probes.DEFAULT_RELBOUND_SIZES if n < spec.n_inner), spec.n_inner)
         report = probes.relative_boundedness_probe(args.gamma, sizes, spec.nu)
     else:
-        rule = (probes.sine_coefficients_initial_data if args.coeffs == "u0"
-                else probes.worst_case_coefficients)
-        report = probes.fourier_beta_probe(rule, args.beta,
+        report = probes.fourier_beta_probe(COEFFS[args.coeffs], args.beta,
                                            probes.DEFAULT_FOURIER_LENGTHS, args.norm)
     verdict = "bounded" if report.bounded else "unbounded"
     print(f"{report.label}: max={report.max_value:.6g} verdict={verdict}")

@@ -116,9 +116,12 @@ def discrete_norms(g: Grid1D, v) -> NormTriple:
     if v.shape != (g.n_inner,):
         raise DimensionError(
             f"vector length {v.shape} does not match grid size {g.n_inner}")
-    h, linf = g.h, float(np.abs(v).max()) if v.size else 0.0
-    with np.errstate(over="ignore"):
-        l2 = float(np.sqrt(h * (v ** 2).sum()))
-    if l2 == np.inf and np.isfinite(linf):  # v ** 2 overflowed (max|v| > ~1.3e154)
-        l2 = linf * float(np.sqrt(h * ((v / linf) ** 2).sum()))
-    return NormTriple(l1=float(h * np.abs(v).sum()), l2=l2, linf=linf)
+    h, a = g.h, np.abs(v)
+    linf = float(a.max()) if v.size else 0.0
+    l1_l2 = []  # root(h sum |v|^p), rescaled by max|v| only when the plain sum overflows
+    for p, root in ((1, float), (2, np.sqrt)):
+        with np.errstate(over="ignore"):
+            l1_l2.append(float(root(h * (a ** p).sum())))
+        if l1_l2[-1] == np.inf and np.isfinite(linf):
+            l1_l2[-1] = linf * float(root(h * ((a / linf) ** p).sum()))
+    return NormTriple(*l1_l2, linf=linf)

@@ -60,10 +60,11 @@ class ProbeReport:
 
 
 def _check_grid(grid, name):
-    """grid as floats; ParameterError unless non-empty, positive and increasing."""
+    """grid as floats; ParameterError unless non-empty, finite, positive and increasing."""
     g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0 or g[0] <= 0 or np.any(np.diff(g) <= 0):
-        raise ParameterError(f"{name} must be positive and strictly increasing, got {g.tolist()}")
+    if g.ndim != 1 or not (g.size and np.isfinite(g).all() and g[0] > 0 and np.all(np.diff(g) > 0)):
+        raise ParameterError(f"{name} must be finite, positive and strictly increasing, "
+                             f"got {g.tolist()}")
     return g
 
 

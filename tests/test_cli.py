@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from exprk import convergence, probes
+from exprk import cli, convergence, probes
 from exprk.cli import main, read_config
 from exprk.convergence import ConvergenceRow, ExperimentSpec
 from exprk.tableau_io import LocatedError, parse_tableau
@@ -218,8 +218,47 @@ def test_probe_bad_gamma_exit_2(capsys):
     ("relbound", "--norm", "linf"), ("relbound", "--coeffs", "u0"),
 ])
 def test_probe_flag_of_another_kind_exit_2(capsys, kind, flag, value):
-    code, stdout, stderr = run(["probe", kind, flag, value], capsys)
-    assert code == 2 and stdout == "" and f"{flag} does not apply to probe {kind}" in stderr
+    # fourier --n 5 would read as --norm 5 if the kind parsers took abbreviations
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", kind, flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+def test_probe_flag_before_the_kind_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--gamma", "0.5", "smoothing"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("smoothing", {"--gamma", "--n", "--nu", "--out"}),
+    ("relbound", {"--gamma", "--n", "--nu", "--out"}),
+    ("fourier", {"--beta", "--norm", "--coeffs", "--out"}),
+])
+def test_probe_kind_help_lists_exactly_its_own_flags(capsys, kind, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", kind, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and set(re.findall(r"--[a-z]+", out)) == flags | {"--help"}
+    for entry in re.split(r"\n(?=  -)", out.split("options:", 1)[1]):
+        assert entry.count("default") <= 1, entry
+    for entry in re.split(r"\n(?=  -)", out.split("options:", 1)[1]):
+        assert entry.count("default") <= 1, entry
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    betas = []
+
+    def spy(rule, beta, N_list, norm):
+        betas.append(beta)
+        return probes.ProbeReport(np.ones(1), np.ones(1), 1.0, True, "spy")
+    monkeypatch.setattr(probes, "fourier_beta_probe", spy)
+    assert run(["probe", "fourier", "--beta", "0.3"], capsys)[0] == 0
+    assert run(["probe", "fourier"], capsys)[0] == 0
+    assert betas == [0.3, 0.24]
 
 
 # ----------------------------------------------------------------- solve

@@ -194,6 +194,16 @@ def test_discrete_norms_l2_past_square_overflow():
     assert discrete_norms(g, np.full(31, np.inf)).l2 == np.inf
 
 
+def test_discrete_norms_l1_past_sum_overflow():
+    """l1 stays finite where sum |v| overflows, and keeps the plain sum's bits below."""
+    g = build_grid(31)
+    big = discrete_norms(g, np.full(31, 1e307))  # sum |v| is 3.1e308, past the largest float
+    assert big.l1 == pytest.approx(g.h * 31 * 1e307, rel=1e-14) and np.isfinite(big.l2)
+    w = np.random.default_rng(1).uniform(-3.0, 3.0, 31) * 2.0 ** 1000
+    assert discrete_norms(g, w).l1 == float(g.h * np.abs(w).sum())
+    assert discrete_norms(g, np.full(31, np.inf)).l1 == np.inf
+
+
 def test_discrete_norms_dimension_error():
     with pytest.raises(DimensionError):
         discrete_norms(build_grid(3), np.zeros(4))

@@ -323,6 +323,19 @@ def test_probes_reject_sizes_that_are_not_integers():
         fourier_beta_probe(sine_coefficients_initial_data, 0.2, [64.9, 128.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("probe, name, grid", [
+    (lambda grid: smoothing_probe(make_ops(20), 0.5, grid), "t_grid", [0.1]),
+    (lambda grid: relative_boundedness_probe(0.5, grid), "n_list", [10]),
+    (lambda grid: fourier_beta_probe(sine_coefficients_initial_data, 0.2, grid), "N_list", [10]),
+], ids=["smoothing", "relbound", "fourier"])
+def test_probes_reject_non_finite_grid_entries(probe, name, grid, bad):
+    """NaN used to read as max=nan, unbounded; inf as that or an OverflowError."""
+    for entries in (grid + [bad], [bad]):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            probe(entries)
+
+
 def test_probes_take_integral_float_sizes():
     co = sine_coefficients_initial_data
     assert np.array_equal(relative_boundedness_probe(0.5, [10.0, 20.0]).values,
