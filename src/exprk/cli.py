@@ -76,13 +76,13 @@ def _build_parser():
     p = sub.add_parser("convergence", help="run a tau-grid convergence study",
                        description="Each setting is its flag if given, else its value in "
                        "the --config file, else the default below.")
-    p.set_defaults(handler=cmd_convergence)
+    p.set_defaults(handler=cmd_convergence, parser=p)
     p.add_argument("--config", help="key = value file; the keys are the flag names below, "
                    "with tau_list and tau_ref for --tau-list and --tau-ref")
     _add_settings(p, SETTINGS)
 
     p = sub.add_parser("check-order", help="evaluate the stiff order conditions")
-    p.set_defaults(handler=cmd_check_order)
+    p.set_defaults(handler=cmd_check_order, parser=p)
     _add_settings(p, ("scheme", "c", "tableau"))
     p.add_argument("--seed", type=natural, default=0,
                    help="seed for the random test matrix (default: %(default)s)")
@@ -99,12 +99,15 @@ def _build_parser():
                        "first; 'exprk probe KIND --help' lists its flags.")
     p.set_defaults(handler=cmd_probe)
     kinds = p.add_subparsers(dest="kind", required=True)
-    for kind in ("smoothing", "relbound"):
-        k = kinds.add_parser(kind, allow_abbrev=False)
+    for kind, text in (("smoothing", "sup over t of ||t^g A^g e^{-tA}||_2 at one grid size"),
+                       ("relbound", "max(||B A^-g||_2, ||A^-g B||_2) across grid sizes")):
+        k = kinds.add_parser(kind, allow_abbrev=False, help=text)
+        k.set_defaults(parser=k)
         k.add_argument("--gamma", type=float, default=0.5,
                        help="fractional exponent (default: %(default)s)")
         _add_settings(k, ("n", "nu", "out"), out="optional CSV output path")
-    k = kinds.add_parser("fourier", allow_abbrev=False)
+    k = kinds.add_parser("fourier", allow_abbrev=False, help="partial sums of A^-1 B A^beta f")
+    k.set_defaults(parser=k)
     k.add_argument("--beta", type=float, default=0.24,
                    help="Fourier probe exponent (default: %(default)s)")
     k.add_argument("--norm", choices=("l1", "l2", "linf"), default="l2",
@@ -114,7 +117,7 @@ def _build_parser():
     _add_settings(k, ("out",), out="optional CSV output path")
 
     p = sub.add_parser("solve", help="single run; prints final-state norms")
-    p.set_defaults(handler=cmd_solve)
+    p.set_defaults(handler=cmd_solve, parser=p)
     _add_settings(p, ("scheme", "c", "tableau", "n", "nu", "T"))
     p.add_argument("--tau", type=float, default=2.0 ** -6, help="step size (default: %(default)s)")
     return parser
@@ -171,8 +174,7 @@ def cmd_check_order(args, spec) -> int:
 
 def cmd_probe(args, spec) -> int:
     if args.kind == "smoothing":
-        g = discretize.build_grid(spec.n_inner)
-        ops = discretize.build_operators(g, spec.nu)
+        ops = discretize.build_operators(discretize.build_grid(spec.n_inner), spec.nu)
         report = probes.smoothing_probe(ops, args.gamma, probes.DEFAULT_SMOOTHING_TIMES)
     elif args.kind == "relbound":
         sizes = (*(n for n in probes.DEFAULT_RELBOUND_SIZES if n < spec.n_inner), spec.n_inner)
@@ -201,7 +203,9 @@ def cmd_solve(args, spec) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # reported by the chosen (sub)command's parser, under its own usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.handler(args, resolve_spec(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary

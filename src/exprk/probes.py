@@ -16,10 +16,10 @@ import numpy as np
 from . import discretize
 from .convergence import ExperimentSpec, write_csv
 from .errors import ContractError, ParameterError
-from .matfuncs import frac_power, is_symmetric
+from .matfuncs import is_symmetric
 
 TREND_FACTOR = 1.05
-_POWER_ITERS, _POWER_TOL = 50, 1e-10  # operator_2norm's power iteration
+_POWER_ITERS, _POWER_TOL = 50, 1e-10  # _power_iteration's step cap and tolerance
 
 # Control grids of the three probes as run from the CLI and the scripts.
 DEFAULT_SMOOTHING_TIMES = tuple(2.0 ** -k for k in range(12, -1, -1))
@@ -101,40 +101,51 @@ def smoothing_probe(ops: discretize.OperatorPair, gamma: float,
     return _report(t_grid, values, f"smoothing gamma={gamma:g}")
 
 
+def _power_iteration(apply, y, measure=lambda y, w: np.linalg.norm(w)) -> float:
+    """sqrt(lam) of y <- apply(y) / lam, lam = measure(y, apply(y)), run _POWER_ITERS steps
+    or until lam settles to _POWER_TOL; lam rises to apply's top eigenvalue, so reads low."""
+    lam = 0.0
+    for _ in range(_POWER_ITERS):
+        w = apply(y)
+        lam, lam_old = measure(y, w), lam
+        if lam == 0.0 or abs(lam - lam_old) <= _POWER_TOL * lam:
+            break
+        y = w / lam
+    return float(np.sqrt(lam))
+
+
+def _unit_start(n):
+    v = np.random.default_rng(12345).standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
 def operator_2norm(M) -> float:
     """Largest singular value via power iteration on M^T M."""
     M = np.asarray(M, dtype=float)
-    G = M.T @ M
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(G.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_ITERS):
-        w = G @ v
-        lam_new = float(np.linalg.norm(w))
-        if lam_new == 0.0:
-            return 0.0
-        v = w / lam_new
-        if abs(lam_new - lam) <= _POWER_TOL * lam_new:
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(lam))
+    return _power_iteration((M.T @ M).__matmul__, _unit_start(M.shape[1]))
 
 
 def relative_boundedness_probe(gamma: float, n_list: Sequence[int],
                                nu: float = ExperimentSpec.nu) -> ProbeReport:
-    """max(||B A^-g||_2, ||A^-g B||_2) on the testbed across grid sizes, with A^-g
-    from A's closed-form eigenpairs and both products from B's stencil."""
+    """max(||B A^-g||_2, ||A^-g B||_2) across grid sizes, as operator_2norm's estimates (at most
+    50 power steps each, low where unsettled) in A's DST-I basis Q. As B^T B is b^2 (Q L Q -
+    2 e_1 e_1^T - 2 e_n e_n^T), M = B A^-g has M^T M = Q G' Q, G' = b^2 (D^2 L - 2 u_1 u_1^T -
+    2 u_n u_n^T), and A^-g B = -M^T has |M M^T v| = sqrt(y^T G' y), y = Q M^T v: O(n) a step."""
     if not 0.0 < gamma <= 1.0:
         raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
     n_list = _check_sizes(n_list, "n_list")
     values = []
     for n in n_list:
         g = discretize.build_grid(int(n))
-        A_neg_g = frac_power(discretize.exact_eigen(g, nu), -gamma)
-        B_A, A_B = discretize.apply_B(g, A_neg_g), -discretize.apply_B(g, A_neg_g.T).T
-        values.append(max(operator_2norm(B_A), operator_2norm(A_B)))
+        E, v0, b2 = discretize.exact_eigen(g, nu), _unit_start(g.n_inner), (0.5 / g.h) ** 2
+        Q, d = E.eigenvectors, E.eigenvalues ** -gamma  # b = 1/(2h), D = diag(d)
+        u1, un = d * Q[:, 0], d * Q[:, -1]  # D Q e_1, D Q e_n
+        s = (2.0 / g.h) * b2 * u1 * u1  # b^2 D^2 L: L = diag(4 sin^2(k pi h)) = (2/h) Q_k1^2
+        def gram(y):  # G' y
+            return s * y - 2.0 * b2 * (u1 * (u1 @ y) + un * (un @ y))
+        values.append(max(_power_iteration(gram, Q @ v0),  # M^T M from Q v0
+                          _power_iteration(gram, d * (Q @ -discretize.apply_B(g, v0)),
+                                           lambda y, w: np.sqrt(y @ w))))  # M M^T from v0
     return _report(n_list, values, f"relbound gamma={gamma:g}")
 
 

@@ -223,7 +223,18 @@ def test_probe_flag_of_another_kind_exit_2(capsys, kind, flag, value):
         main(["probe", kind, flag, value])
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
-    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    # reported by the kind's own parser, under the usage line that lists its flags
+    assert captured.err.startswith(f"usage: exprk probe {kind} [-h]")
+    assert f"exprk probe {kind}: error: unrecognized arguments: {flag} {value}" in captured.err
+
+
+def test_probe_help_gives_each_kind_a_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for kind in ("smoothing", "relbound", "fourier"):
+        assert re.search(rf"^ +{kind} +\S", out, re.MULTILINE), kind
 
 
 def test_probe_flag_before_the_kind_exit_2(capsys):

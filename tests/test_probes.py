@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from exprk import discretize
+from exprk import discretize, matfuncs, probes
 from exprk.discretize import OperatorPair, build_grid, build_operators
 from exprk.errors import ContractError, ParameterError
 from exprk.matfuncs import frac_power, sym_eigen
@@ -57,6 +57,35 @@ def test_operator_2norm_matches_svd():
 
 def test_operator_2norm_zero():
     assert operator_2norm(np.zeros((4, 4))) == 0.0
+
+
+def _operator_2norm_before_the_shared_loop(M):
+    """operator_2norm as it was written before it called the probes' shared power loop."""
+    M = np.asarray(M, dtype=float)
+    G = M.T @ M
+    rng = np.random.default_rng(12345)
+    v = rng.standard_normal(G.shape[0])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(50):
+        w = G @ v
+        lam_new = float(np.linalg.norm(w))
+        if lam_new == 0.0:
+            return 0.0
+        v = w / lam_new
+        if abs(lam_new - lam) <= 1e-10 * lam_new:
+            lam = lam_new
+            break
+        lam = lam_new
+    return float(np.sqrt(lam))
+
+
+@pytest.mark.parametrize("M", [
+    np.diag([3.0, -5.0, 1.0]), np.random.default_rng(2).standard_normal((20, 20)),
+    np.zeros((4, 4)), np.random.default_rng(50).standard_normal((50, 50)),
+], ids=["diagonal", "svd20", "zero", "seeded50"])
+def test_operator_2norm_keeps_its_floats(M):
+    assert operator_2norm(M) == _operator_2norm_before_the_shared_loop(M)
 
 
 # ------------------------------------------------------- smoothing probe
@@ -188,24 +217,65 @@ def test_probes_validate_grids_before_any_work(monkeypatch):
 
 def test_relbound_needs_no_eigh_and_no_dense_B(monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("relbound probe reached eigh or the dense operators")
+        raise AssertionError("relbound probe reached eigh, the dense operators or A^-g")
     monkeypatch.setattr(np.linalg, "eigh", never)
     monkeypatch.setattr(discretize, "build_operators", never)
+    monkeypatch.setattr(matfuncs, "frac_power", never)
+    monkeypatch.setattr(probes, "operator_2norm", never)
+    apply_B = discretize.apply_B
+
+    def apply_B_to_vectors_only(g, X):
+        assert np.ndim(X) == 1, "relbound probe applied B to a matrix"
+        return apply_B(g, X)
+    monkeypatch.setattr(discretize, "apply_B", apply_B_to_vectors_only)
     rep = relative_boundedness_probe(0.5, [25, 50])
     assert rep.values.shape == (2,) and np.all(rep.values > 0)
 
 
-@pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 10, 25, 64, 399])
+def test_BtB_closed_form_in_the_dst_basis(n):
+    # B^T B = b^2 (Q L Q - 2 e_1 e_1^T - 2 e_n e_n^T), b = 1/(2h), L = diag(4 sin^2(k pi h)),
+    # checked against the dense stencil matrices
+    g = build_grid(n)
+    B = build_operators(g, 0.2).B
+    Q = discretize.exact_eigen(g, 0.2).eigenvectors
+    L = 4.0 * np.sin(np.pi * g.h * np.arange(1, n + 1)) ** 2
+    closed = (Q * L) @ Q
+    closed[0, 0] -= 2.0
+    closed[-1, -1] -= 2.0
+    closed *= (0.5 / g.h) ** 2
+    dense = B.T @ B
+    assert np.abs(closed - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.77, 1.0])
 def test_relbound_matches_dense_eigh_path(gamma):
-    # oracle: the dense operators, eigh and GEMMs against B
-    ns = [25, 50, 100]
-    ref = []
+    # oracle: the dense operators, eigh and GEMMs against B, on odd and even n
+    ns = [25, 50, 99, 100]
+    for nu in (0.2, 1.0):
+        ref = []
+        for n in ns:
+            ops = build_operators(build_grid(n), nu)
+            A_neg_g = frac_power(sym_eigen(ops.A), -gamma)
+            ref.append(max(operator_2norm(ops.B @ A_neg_g), operator_2norm(A_neg_g @ ops.B)))
+        got = relative_boundedness_probe(gamma, ns, nu).values
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref)), nu
+
+
+@pytest.mark.parametrize("nu", [0.2, 1.0])
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.77, 1.0])
+def test_relbound_never_reads_above_the_dense_svd(gamma, nu):
+    # the power-iteration estimate can only read low (at gamma = 0.1 it has not settled)
+    ns = [2, 3, 25, 64, 200]
+    exact = []
     for n in ns:
-        ops = build_operators(build_grid(n), 0.2)
-        A_neg_g = frac_power(sym_eigen(ops.A), -gamma)
-        ref.append(max(operator_2norm(ops.B @ A_neg_g), operator_2norm(A_neg_g @ ops.B)))
-    got = relative_boundedness_probe(gamma, ns).values
-    assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
+        ops = build_operators(build_grid(n), nu)
+        lam, V = np.linalg.eigh(ops.A)
+        A_neg_g = (V * lam ** -gamma) @ V.T
+        exact.append(max(np.linalg.svd(M, compute_uv=False)[0]
+                         for M in (ops.B @ A_neg_g, A_neg_g @ ops.B)))
+    got = relative_boundedness_probe(gamma, ns, nu).values
+    assert np.all(got <= np.array(exact) * (1.0 + 1e-12))
 
 
 def test_relbound_rejects_bad_gamma():
