@@ -96,6 +96,16 @@ def exact_eigen(g: Grid1D, nu: float) -> SymEigen:
     return SymEigen(eigenvalues=lam, eigenvectors=sines[np.outer(k, k) % (2 * (n + 1))])
 
 
+def dst1(X) -> np.ndarray:
+    """exact_eigen's Q @ X along axis 0 (n = len(X)), the orthonormal DST-I, from one real FFT
+    of [0, X, 0, ..., 0] of length 2(n+1) (Cooley & Tukey 1965; Martucci 1994)."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    Z = np.zeros((2 * (n + 1),) + X.shape[1:])
+    Z[1:n + 1] = X
+    return -np.sqrt(2.0 / (n + 1)) * np.fft.rfft(Z, axis=0).imag[1:n + 1]
+
+
 def apply_B(g: Grid1D, X) -> np.ndarray:
     """B @ X from B's two off-diagonals; X @ B is -apply_B(g, X.T).T as B is skew."""
     X = np.asarray(X, dtype=float)

@@ -101,17 +101,20 @@ def smoothing_probe(ops: discretize.OperatorPair, gamma: float,
     return _report(t_grid, values, f"smoothing gamma={gamma:g}")
 
 
-def _power_iteration(apply, y, measure=lambda y, w: np.linalg.norm(w)) -> float:
-    """sqrt(lam) of y <- apply(y) / lam, lam = measure(y, apply(y)), run _POWER_ITERS steps
-    or until lam settles to _POWER_TOL; lam rises to apply's top eigenvalue, so reads low."""
-    lam = 0.0
+def _power_iteration(apply, Y, measure) -> np.ndarray:
+    """sqrt(lam) per row y (last axis) of Y, stepped y <- apply(y) / lam, lam = measure(y, apply(y))
+    row by row, for _POWER_ITERS steps or until its lam settles to _POWER_TOL (then that lam is
+    kept as the block steps on); lam rises to apply's top eigenvalue, so reads low."""
+    lam, live = np.zeros(Y.shape[:-1]), np.ones(Y.shape[:-1], dtype=bool)
     for _ in range(_POWER_ITERS):
-        w = apply(y)
-        lam, lam_old = measure(y, w), lam
-        if lam == 0.0 or abs(lam - lam_old) <= _POWER_TOL * lam:
+        W = apply(Y)
+        mu = measure(Y, W)
+        lam_old, lam = lam, np.where(live, mu, lam)
+        live &= (mu != 0.0) & (np.abs(mu - lam_old) > _POWER_TOL * mu)
+        if not live.any():
             break
-        y = w / lam
-    return float(np.sqrt(lam))
+        Y = W / mu[..., None]
+    return np.sqrt(lam)
 
 
 def _unit_start(n):
@@ -122,31 +125,42 @@ def _unit_start(n):
 def operator_2norm(M) -> float:
     """Largest singular value via power iteration on M^T M."""
     M = np.asarray(M, dtype=float)
-    return _power_iteration((M.T @ M).__matmul__, _unit_start(M.shape[1]))
+    return float(_power_iteration((M.T @ M).__matmul__, _unit_start(M.shape[1]),
+                                  lambda y, w: np.linalg.norm(w)))
 
 
 def relative_boundedness_probe(gamma: float, n_list: Sequence[int],
                                nu: float = ExperimentSpec.nu) -> ProbeReport:
-    """max(||B A^-g||_2, ||A^-g B||_2) across grid sizes, as operator_2norm's estimates (at most
-    50 power steps each, low where unsettled) in A's DST-I basis Q. As B^T B is b^2 (Q L Q -
-    2 e_1 e_1^T - 2 e_n e_n^T), M = B A^-g has M^T M = Q G' Q, G' = b^2 (D^2 L - 2 u_1 u_1^T -
-    2 u_n u_n^T), and A^-g B = -M^T has |M M^T v| = sqrt(y^T G' y), y = Q M^T v: O(n) a step."""
+    """max(||B A^-g||_2, ||A^-g B||_2) across grid sizes, as power-iteration estimates (at most 50
+    steps each, low where unsettled) in A's DST-I basis Q, with no n x n array. There B^T B =
+    b^2 (Q L Q - 2 e_1 e_1^T - 2 e_n e_n^T), b = 1/(2h), L = diag(4 sin^2(k pi h)), so M = B A^-g
+    has M^T M = Q G' Q, G' = b^2 (D^2 L - 2 u_1 u_1^T - 2 u_n u_n^T), u = D Q e, and A^-g B = -M^T
+    has |M M^T v| = sqrt(y^T G' y), y = Q M^T v. The 2 len(n_list) iterations (start v as in
+    operator_2norm) step in lockstep as the rows of one zero-padded block, O(n) a row a step."""
     if not 0.0 < gamma <= 1.0:
         raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
     n_list = _check_sizes(n_list, "n_list")
-    values = []
-    for n in n_list:
-        g = discretize.build_grid(int(n))
-        E, v0, b2 = discretize.exact_eigen(g, nu), _unit_start(g.n_inner), (0.5 / g.h) ** 2
-        Q, d = E.eigenvectors, E.eigenvalues ** -gamma  # b = 1/(2h), D = diag(d)
-        u1, un = d * Q[:, 0], d * Q[:, -1]  # D Q e_1, D Q e_n
-        s = (2.0 / g.h) * b2 * u1 * u1  # b^2 D^2 L: L = diag(4 sin^2(k pi h)) = (2/h) Q_k1^2
-        def gram(y):  # G' y
-            return s * y - 2.0 * b2 * (u1 * (u1 @ y) + un * (un @ y))
-        values.append(max(_power_iteration(gram, Q @ v0),  # M^T M from Q v0
-                          _power_iteration(gram, d * (Q @ -discretize.apply_B(g, v0)),
-                                           lambda y, w: np.sqrt(y @ w))))  # M M^T from v0
-    return _report(n_list, values, f"relbound gamma={gamma:g}")
+    m, N = len(n_list), int(n_list[-1])
+    draw = np.random.default_rng(12345).standard_normal(N)  # _unit_start(n) = draw[:n], normalised
+    S, U, V = np.zeros((m, N)), np.zeros((m, N, 2)), np.zeros((m, 2, N))
+    Y = np.zeros((2, m, N))  # Y[0]: M^T M from Q v, Y[1]: M M^T from Q M^T v = D Q (-B v)
+    for i, n in enumerate(n_list.astype(int)):
+        g, v = discretize.build_grid(n), draw[:n] / np.linalg.norm(draw[:n])
+        d, b2 = discretize.exact_eigenvalues(g, nu) ** -gamma, (0.5 / g.h) ** 2  # D = diag(d)
+        E = np.column_stack([np.zeros((n, 2)), v, -discretize.apply_B(g, v)])
+        E[[0, -1], [0, 1]] = 1.0
+        QE = discretize.dst1(E)  # Q e_1, Q e_n, Q v, Q (-B v)
+        U[i, :n] = d[:, None] * QE[:, :2]  # columns u_1, u_n
+        V[i, :, :n] = -2.0 * b2 * U[i, :n].T
+        S[i, :n] = (2.0 / g.h) * b2 * U[i, :n, 0] ** 2  # b^2 D^2 L: L = (2/h) Q_k1^2
+        Y[0, i, :n], Y[1, i, :n] = QE[:, 2], d * QE[:, 3]
+    by_norm = np.array([True, False])[:, None, None]  # lam = |w| for M^T M, sqrt(y . w) for M M^T
+
+    def gram(Y):  # G' y = S y + (y . u_1, y . u_n) @ (-2 b^2 [u_1; u_n])
+        return S * Y + (Y[..., None, :] @ U @ V)[..., 0, :]
+    values = _power_iteration(gram, Y, lambda Y, W: np.sqrt(
+        np.einsum("jmn,jmn->jm", np.where(by_norm, W, Y), W)))
+    return _report(n_list, values.max(axis=0), f"relbound gamma={gamma:g}")
 
 
 def sine_coefficients_initial_data(k):

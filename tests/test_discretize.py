@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exprk.discretize import (OperatorPair, apply_B, build_grid, build_operators,
-                              discrete_norms, exact_eigen, exact_eigenvalues, initial_data)
+                              discrete_norms, dst1, exact_eigen, exact_eigenvalues,
+                              initial_data)
 from exprk.errors import ContractError, DimensionError, ParameterError
 from exprk.matfuncs import sym_eigen
 from exprk.probes import smoothing_probe
@@ -136,6 +137,24 @@ def test_exact_eigen_matches_sym_eigen(n):
     lam = exact_eigen(g, 0.2).eigenvalues
     got = sym_eigen(build_operators(g, 0.2).A).eigenvalues
     assert np.abs(got - lam).max() <= 1e-13 * lam.max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 25, 399, 400])
+def test_dst1_matches_exact_eigen_basis(n):
+    # oracle: the gathered closed-form Q, on a vector and on a block, even and odd n + 1
+    Q = exact_eigen(build_grid(n), 0.2).eigenvectors
+    X = np.random.default_rng(n).standard_normal((n, 5))
+    for x in (X[:, 0], X):
+        got = dst1(x)
+        assert got.shape == x.shape
+        assert np.abs(got - Q @ x).max() <= 1e-14 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 25, 399, 400])
+def test_dst1_is_its_own_inverse(n):
+    # Q is symmetric and orthogonal, so Q Q x = x
+    x = np.random.default_rng(n).standard_normal(n)
+    assert np.abs(dst1(dst1(x)) - x).max() <= 1e-14 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("nu", [0.0, -0.2, np.nan, np.inf])

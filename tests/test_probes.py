@@ -1,5 +1,7 @@
 """Smoothing, relative-boundedness and Fourier-sum probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,7 +207,7 @@ def test_probes_validate_grids_before_any_work(monkeypatch):
         raise AssertionError("work done before the grid was checked")
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, never)
-    for name in ("build_operators", "exact_eigen", "apply_B"):
+    for name in ("build_operators", "exact_eigen", "apply_B", "dst1"):
         monkeypatch.setattr(discretize, name, never)
     for t_grid in ([1.0, 0.5, 2.0], [0.5, 0.5], [0.0, 1.0], [-1.0, 1.0], []):
         with pytest.raises(ParameterError, match="t_grid"):
@@ -217,9 +219,10 @@ def test_probes_validate_grids_before_any_work(monkeypatch):
 
 def test_relbound_needs_no_eigh_and_no_dense_B(monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("relbound probe reached eigh, the dense operators or A^-g")
+        raise AssertionError("relbound probe reached eigh, the dense operators, Q or A^-g")
     monkeypatch.setattr(np.linalg, "eigh", never)
     monkeypatch.setattr(discretize, "build_operators", never)
+    monkeypatch.setattr(discretize, "exact_eigen", never)
     monkeypatch.setattr(matfuncs, "frac_power", never)
     monkeypatch.setattr(probes, "operator_2norm", never)
     apply_B = discretize.apply_B
@@ -260,6 +263,65 @@ def test_relbound_matches_dense_eigh_path(gamma):
             ref.append(max(operator_2norm(ops.B @ A_neg_g), operator_2norm(A_neg_g @ ops.B)))
         got = relative_boundedness_probe(gamma, ns, nu).values
         assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref)), nu
+
+
+def _relbound_before_the_lockstep(gamma, n_list, nu):
+    """The relbound probe's values as computed before the lockstep: one size at a time, from
+    the gathered n x n Q, with one power loop per iteration."""
+    def power(apply, y, measure):
+        lam = 0.0
+        for _ in range(50):
+            w = apply(y)
+            lam, lam_old = measure(y, w), lam
+            if lam == 0.0 or abs(lam - lam_old) <= 1e-10 * lam:
+                break
+            y = w / lam
+        return np.sqrt(lam)
+    values = []
+    for n in n_list:
+        g = build_grid(n)
+        E, b2 = discretize.exact_eigen(g, nu), (0.5 / g.h) ** 2
+        v0 = np.random.default_rng(12345).standard_normal(n)
+        v0 /= np.linalg.norm(v0)
+        Q, d = E.eigenvectors, E.eigenvalues ** -gamma
+        u1, un = d * Q[:, 0], d * Q[:, -1]
+        s = (2.0 / g.h) * b2 * u1 * u1
+
+        def gram(y):
+            return s * y - 2.0 * b2 * (u1 * (u1 @ y) + un * (un @ y))
+        values.append(max(power(gram, Q @ v0, lambda y, w: np.linalg.norm(w)),
+                          power(gram, d * (Q @ -discretize.apply_B(g, v0)),
+                                lambda y, w: np.sqrt(y @ w))))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("nu", [0.2, 1.0])
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.77, 1.0])
+def test_relbound_lockstep_matches_the_per_size_loop(gamma, nu):
+    ns = [2, 3, 25, 50, 99, 100, 200, 399]
+    ref = _relbound_before_the_lockstep(gamma, ns, nu)
+    got = relative_boundedness_probe(gamma, ns, nu).values
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0])
+def test_relbound_sizes_do_not_move_each_other(gamma):
+    # each size's rows only share the block: another size changes its padding, not its value
+    few = relative_boundedness_probe(gamma, [25, 50, 100]).values
+    more = relative_boundedness_probe(gamma, [2, 25, 50, 99, 100, 399]).values[[1, 2, 4]]
+    assert np.all(np.abs(more - few) <= 1e-15 * few)
+
+
+def test_relbound_memory_is_linear_in_n():
+    # a dense Q at n = 16383 alone would take 2.1 GB
+    tracemalloc.start()
+    try:
+        rep = relative_boundedness_probe(0.5, [25, 16383])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert rep.bounded and rep.max_value <= 1 / np.sqrt(0.2)
 
 
 @pytest.mark.parametrize("nu", [0.2, 1.0])
