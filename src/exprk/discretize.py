@@ -32,6 +32,20 @@ class OperatorPair:
     # set by build_operators only, so A and B are its stencils; replace() drops it
     grid: Grid1D | None = field(default=None, init=False)
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        """A or B of a build_operators pair: the first read of either writes the stencils
+        A = (nu/h^2) tridiag(-1, 2, -1), B = (1/2h) tridiag(-1, 0, 1) into zeros and keeps both."""
+        if name not in ("A", "B") or self.grid is None:
+            raise AttributeError(f"'OperatorPair' object has no attribute {name!r}")
+        n, h = self.grid.n_inner, self.grid.h
+        a, b, i = self.nu / h ** 2, 1.0 / (2.0 * h), np.arange(n - 1)
+        A, B = np.zeros((n, n)), np.zeros((n, n))
+        np.fill_diagonal(A, 2.0 * a)
+        A[i, i + 1] = A[i + 1, i] = -a
+        B[i, i + 1], B[i + 1, i] = b, -b
+        self.__dict__.update(A=A, B=B)
+        return self.__dict__[name]
+
     @cached_property
     def eigen(self) -> SymEigen | None:
         """A = Q diag(lam) Q^T by one sym_eigen, cached; None for a non-symmetric A."""
@@ -68,16 +82,10 @@ def _check_nu(nu):
 
 
 def build_operators(g: Grid1D, nu: float) -> OperatorPair:
-    """Stencils: A = (nu/h^2) tridiag(-1, 2, -1), B = (1/2h) tridiag(-1, 0, 1)."""
+    """The testbed pair on g. It holds g and nu only; A and B are formed when first read."""
     _check_nu(nu)
-    n, h = g.n_inner, g.h
-    a, b, i = nu / h ** 2, 1.0 / (2.0 * h), np.arange(n - 1)
-    A, B = np.zeros((n, n)), np.zeros((n, n))
-    np.fill_diagonal(A, 2.0 * a)
-    A[i, i + 1] = A[i + 1, i] = -a
-    B[i, i + 1], B[i + 1, i] = b, -b
-    ops = OperatorPair(A=A, B=B, nu=nu)
-    object.__setattr__(ops, "grid", g)
+    ops = object.__new__(OperatorPair)  # bypasses __init__, so A and B stay unset
+    ops.__dict__.update(nu=nu, grid=g)
     return ops
 
 

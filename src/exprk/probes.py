@@ -165,8 +165,9 @@ def relative_boundedness_probe(gamma: float, n_list: Sequence[int],
 
 def sine_coefficients_initial_data(k):
     """Sine-series coefficients of 4x(1-x): 32/(k^3 pi^3) for odd k, else 0."""
+    odd = np.asarray(k) % 2 == 1  # on the indices as given: an integer % beats a float one
     k = np.asarray(k, dtype=float)
-    return np.where(k % 2 == 1, 32.0 / (k ** 3 * np.pi ** 3), 0.0)
+    return np.where(odd, 32.0 / (k ** 3 * np.pi ** 3), 0.0)
 
 
 def worst_case_coefficients(k):
@@ -178,14 +179,15 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
                        norm: str = "linf", x_grid: int = 2048) -> ProbeReport:
     """Partial sums of sum_k f_k (k pi)^(2b-1) (cos(k pi x) + (1-(-1)^k) x - 1).
 
-    coeffs maps an integer array of indices k to the coefficients f_k.
-    The requested discrete norm of the partial sum is reported for each
-    truncation length N. On the grid x_j = j/(M-1), M = x_grid, cos(k pi x_j)
-    has period L = 2(M-1) in k: the coefficients are folded by k mod L and
-    each N takes one real FFT of length L (Cooley & Tukey 1965), in memory
-    O(M + largest step of N_list). The report's `bounded` is `bounded_trend`
-    over the sampled lengths, a stagnation rule and not a proof: (beta=0.49,
-    linf, 1/k) reads unbounded although its series is absolutely summable.
+    coeffs maps an integer array of indices k to the coefficients f_k, and is
+    called once, on k = 1..max(N_list). The requested discrete norm of the
+    partial sum is reported for each truncation length N. On the grid
+    x_j = j/(M-1), M = x_grid, cos(k pi x_j) has period L = 2(M-1) in k: the
+    coefficients are folded by k mod L and each N takes one real FFT of length
+    L (Cooley & Tukey 1965), in memory O(M + max(N_list)). The report's
+    `bounded` is `bounded_trend` over the sampled lengths, a stagnation rule and
+    not a proof: (beta=0.49, linf, 1/k) reads unbounded although its series is
+    absolutely summable.
     """
     p = {"l1": 1, "l2": 2, "linf": np.inf}.get(norm)
     if p is None:
@@ -199,12 +201,15 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
     x = np.linspace(0.0, 1.0, x_grid)
     h = 1.0 / (x_grid - 1)
     L = 2 * (x_grid - 1)
+    k = np.arange(1, N_list[-1] + 1)  # every term once; each N adds those past the last N
+    a = np.asarray(coeffs(k), dtype=float) * (k * np.pi) ** (2.0 * beta - 1.0)
+    r = k % L
     folded = np.zeros(L)  # sum of a_k over k = r mod L; L is even, so r keeps k's parity
     values = []
     for k_prev, N in zip([0] + N_list, N_list):
-        k = np.arange(k_prev + 1, N + 1)
-        a = np.asarray(coeffs(k), dtype=float) * (k * np.pi) ** (2.0 * beta - 1.0)
-        folded += np.bincount(k % L, weights=a, minlength=L)
-        S = np.fft.rfft(folded).real + 2.0 * folded[1::2].sum() * x - folded.sum()
+        folded += np.bincount(r[k_prev:N], weights=a[k_prev:N], minlength=L)
+        S = np.fft.rfft(folded).real
+        S += 2.0 * folded[1::2].sum() * x
+        S -= folded.sum()
         values.append(h ** (1.0 / p) * np.linalg.norm(S, p))  # h-weighted l1, l2; max
     return _report(grid, values, f"fourier beta={beta:g} norm={norm}")

@@ -107,6 +107,24 @@ def test_operator_pair_carries_grid_only_from_build_operators():
         smoothing_probe(flipped, 0.5, [0.1, 1.0])
 
 
+def test_build_operators_pair_forms_A_and_B_once():
+    ops = build_operators(build_grid(7), 0.2)
+    A = ops.A
+    assert ops.A is A and ops.B is ops.B
+    with pytest.raises(AttributeError, match="no attribute 'C'"):
+        ops.C
+    # a pair built by hand has no grid, so nothing is formed for it
+    assert OperatorPair(A=A, B=ops.B, nu=0.2).A is A
+
+
+def test_replace_on_an_unread_pair_flips_A_and_drops_grid():
+    g = build_grid(6)
+    ops, dense = build_operators(g, 0.2), build_operators(g, 0.2)
+    flipped = dataclasses.replace(ops, A=-ops.A)
+    assert flipped.grid is None
+    assert np.array_equal(flipped.A, -dense.A) and np.array_equal(flipped.B, dense.B)
+
+
 @pytest.mark.parametrize("nu", [0.0, -0.2, np.nan, np.inf])
 def test_build_operators_rejects_nonpositive_nu(nu):
     with pytest.raises(ParameterError):

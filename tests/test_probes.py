@@ -171,6 +171,19 @@ def test_smoothing_probe_needs_no_eigenvectors(monkeypatch):
     assert rep.bounded and np.all(np.abs(rep.values - closed) <= 1e-10 * closed)
 
 
+def test_smoothing_probe_memory_is_linear_in_n():
+    # the testbed pair's dense A and B at n = 16383 would take 2.1 GB each
+    tracemalloc.start()
+    try:
+        rep = smoothing_probe(build_operators(build_grid(16383), 0.2), 0.5,
+                              DEFAULT_SMOOTHING_TIMES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert rep.bounded and rep.max_value <= 0.5 ** 0.5 * np.exp(-0.5)
+
+
 @pytest.mark.parametrize("split", ["non-symmetric", "indefinite"])
 def test_smoothing_probe_rejects_non_spd(split):
     ops = make_ops()
