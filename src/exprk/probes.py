@@ -15,7 +15,7 @@ import numpy as np
 
 from . import discretize
 from .convergence import ExperimentSpec, write_csv
-from .errors import ContractError, ParameterError
+from .errors import ContractError, DomainError, ParameterError
 from .matfuncs import is_symmetric
 
 TREND_FACTOR = 1.05
@@ -77,7 +77,11 @@ def _check_sizes(sizes, name):
 
 
 def _report(grid, values, label):
+    """The report of values over grid; DomainError at the first non-finite value."""
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DomainError(f"{label}: non-finite value at grid value "
+                          f"{grid[np.argmin(np.isfinite(values))]:g}")
     return ProbeReport(grid=grid, values=values, max_value=float(values.max()),
                        bounded=bounded_trend(values), label=label)
 
@@ -87,7 +91,8 @@ def smoothing_probe(ops: discretize.OperatorPair, gamma: float,
     """Spectral value of ||t^g A^g e^{-tA}||_2 over a grid of times.
 
     For SPD A this is max over eigenvalues of (t*lam)^g e^{-t*lam}, which
-    calculus bounds by g^g e^{-g} independently of t. The quantity needs A's
+    calculus bounds by g^g e^{-g} independently of t; it is taken as
+    exp(g log(t lam) - t lam), not inf * 0 in stiff modes. It needs A's
     eigenvalues only: the closed form when ops.grid is set, else eigvalsh.
     """
     if not 0.0 <= gamma < np.inf:
@@ -97,7 +102,9 @@ def smoothing_probe(ops: discretize.OperatorPair, gamma: float,
            else np.linalg.eigvalsh(ops.A) if is_symmetric(ops.A) else None)
     if lam is None or lam.min() <= 0:
         raise ContractError("smoothing probe requires a symmetric positive definite A")
-    values = [float(((t * lam) ** gamma * np.exp(-t * lam)).max()) for t in t_grid]
+    with np.errstate(divide="ignore"):  # a t lam that underflows to 0 gives 0^g = e^-inf
+        values = [float(np.exp(gamma * np.log(t * lam) - t * lam if gamma else -t * lam).max())
+                  for t in t_grid]
     return _report(t_grid, values, f"smoothing gamma={gamma:g}")
 
 

@@ -6,10 +6,10 @@ per (tableau, A, tau) by running the stage recurrence on the identity. For a
 symmetric A = Q diag(lam) Q^T it runs in A's eigenbasis (Hochbruck & Ostermann,
 Acta Numerica 2010, sec. 2), where every phi matrix is a diagonal phi_k(t lam):
 a build there costs its s - 1 GEMMs B^ U_i plus O(n^2) row scalings and
-in-place sums, with phi_0 added onto a diagonal. Any other A takes its phi
-matrices from one matfuncs.phi_matrices call, in which nodes of one
-power-of-two family (1 and 1/2 for rk2(1/2) and rk3paper) share one squaring
-chain for phi_0 and one doubling chain for the higher phi.
+in-place sums, each sum starting at phi_0 and adding its terms left to right.
+Any other A takes its phi matrices from one matfuncs.phi_matrices call, in
+which nodes of one power-of-two family (1 and 1/2 for rk2(1/2) and rk3paper)
+share one squaring chain for phi_0 and one doubling chain for the higher phi.
 
 solve runs its N matvecs unchecked and tests finiteness once at the end: a
 non-finite entry stays non-finite through every later matvec. Only a failed
@@ -55,7 +55,7 @@ class Stepper:
 
         # phi_k(scale * Z), Z = -tau * A, for every (k, scale) in tableau.phi_keys.
         # In A's eigenbasis it is a diagonal, held as a column, so applying it
-        # is a row scaling and adding phi_0 touches only the diagonal.
+        # is a row scaling.
         diagonal = ops.eigen is not None
         if diagonal:
             lam, self.Q, B = ops.eigen.eigenvalues, ops.eigen.eigenvectors, ops.B_eigen
@@ -64,31 +64,17 @@ class Stepper:
         else:
             self.Q, phi, apply = np.eye(n), phi_matrices(-tau * A, tableau.phi_keys), np.matmul
         zero = np.zeros_like(phi[0, 1.0])
-
-        def add_exp(S, c):
-            """S += phi_0(c Z) in place; a diagonal meets only S's diagonal."""
-            if diagonal:
-                S.flat[::n + 1] += phi[0, c][:, 0]
-            else:
-                S += phi[0, c]
-            return S
-
-        # T_2, T_3, ... of every sum are formed in this one buffer: page faults on
-        # fresh n x n temporaries took ~2.5 of ~11 ms of an rk3paper build at n = 399.
+        # Every T_j is formed in this one buffer: page faults on fresh n x n
+        # temporaries took ~2.5 of ~11 ms of an rk3paper build at n = 399.
         scratch = np.empty((n, n))
 
         def stage(c, terms):
-            """phi_0(c Z) + T_1 + T_2 + ..., T_j = tau combo_j(Z) BU_j, added as
-            ((T_1 + phi_0) + T_2) + ...: the sums of the plain left-to-right
-            order, built in the fresh product T_1 (zeros if there is none)."""
-            S = None
+            """phi_0(c Z) + T_1 + T_2 + ..., T_j = tau combo_j(Z) BU_j, summed in place
+            left to right."""
+            S = np.diag(phi[0, c][:, 0]) if diagonal else phi[0, c].copy()
             for combo, BUj in terms:
-                coef = tau * combo.combine(phi, zero)
-                if S is None:
-                    S = add_exp(apply(coef, BUj), c)
-                else:
-                    S += apply(coef, BUj, out=scratch)
-            return add_exp(np.zeros((n, n)), c) if S is None else S
+                S += apply(tau * combo.combine(phi, zero), BUj, out=scratch)
+            return S
 
         # The stage recurrence with the identity as the state: U_i is the
         # matrix taking u to stage i, and BU[i - 1] = B U_i.
@@ -172,9 +158,8 @@ def solve_reference_rk4(ops: OperatorPair, u0, T: float, tau_ref: float):
         raise ParameterError(
             f"tau_ref={tau_ref:g} exceeds RK4 stability bound "
             f"{RK4_STABILITY_LIMIT / rho:g} (spectral radius <= {rho:g})")
-    n, nz = L.shape[0], L != 0  # w = max |i - j| over nonzeros: each row's first and last
-    i, first, last = np.arange(n), nz.argmax(axis=1), n - 1 - nz[:, ::-1].argmax(axis=1)
-    w = int(np.maximum(i - first, last - i)[nz[i, first]].max(initial=0))
+    n, (i, j) = L.shape[0], np.nonzero(L)
+    w = int(np.abs(i - j).max(initial=0))  # L's bandwidth: max |i - j| over its nonzeros
     M = np.multiply(L, tau_ref, out=L)  # of bandwidth w; L is not read again
     # RK4 on a linear autonomous system is the quartic Taylor polynomial, so N
     # steps are P^N u0 with P = I + M (I + M (I/2 + M (I/6 + M/24))) of bandwidth 4w.

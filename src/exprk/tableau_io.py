@@ -6,7 +6,7 @@ Errors name `file:line[:column]` (a whole-file check names the file alone).
 A tableau file:
 
     name = my-method            # optional label
-    c = 0,0.5,1                 # nodes; defines the stage count
+    c = 0,0.5,1                 # nodes in [0, 1], the first 0; the stage count
     a[2][1] = scale:0.5 phi:1 w:0.5
     a[3][2] = scale:0.5 phi:2 w:2 + scale:1 phi:2 w:2
     b[1] = scale:1 phi:1 w:1 + scale:1 phi:2 w:-3 + scale:1 phi:3 w:4
@@ -113,7 +113,7 @@ def parse_tableau(text: str, source="<tableau>") -> Tableau:
             name=name, c=c, a=a,
             b=tuple(b.get(i, empty) for i in range(1, s + 1)),
         )
-    except ContractError as exc:  # a[i][j] outside the stages, a scale or phi order out of range
+    except ContractError as exc:  # a node, a[i][j], a scale or a phi order out of range
         raise LocatedError(source, None, None, str(exc)) from exc
 
 

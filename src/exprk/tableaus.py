@@ -77,6 +77,9 @@ class Tableau:
         s = len(self.c)
         if s < 1 or self.c[0] != 0.0:
             raise ContractError("first node must be 0")
+        for ci in self.c:
+            if not (0.0 <= ci <= 1.0):
+                raise ContractError(f"node {ci} outside [0, 1]")
         if len(self.b) != s:
             raise ContractError("b must have one combo per stage")
         for (i, j) in self.a:

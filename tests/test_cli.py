@@ -211,6 +211,23 @@ def test_probe_bad_gamma_exit_2(capsys):
     assert code == 2
 
 
+def test_probe_smoothing_large_gamma_exit_0(capsys):
+    code, stdout, _ = run(["probe", "smoothing", "--gamma", "100"], capsys)
+    assert code == 0 and "max=3.72006e+156 verdict=bounded" in stdout
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["relbound", "--gamma", "0.5", "--n", "3", "--nu", "1e-300"], "relbound gamma=0.5"),
+    (["smoothing", "--gamma", "200"], "smoothing gamma=200"),
+    (["fourier", "--beta", "400", "--coeffs", "1/k"], "fourier beta=400 norm=l2"),
+], ids=["relbound", "smoothing", "fourier"])
+def test_probe_non_finite_values_exit_1_without_a_verdict(capsys, argv, label):
+    with np.errstate(all="ignore"):
+        code, stdout, stderr = run(["probe", *argv], capsys)
+    assert code == 1 and "verdict" not in stdout
+    assert stderr.startswith(f"error: {label}: non-finite value at grid value ")
+
+
 @pytest.mark.parametrize("kind, flag, value", [
     ("fourier", "--gamma", "0.5"), ("fourier", "--n", "5"), ("fourier", "--nu", "3"),
     ("smoothing", "--beta", "0.24"), ("smoothing", "--norm", "l2"),
@@ -412,14 +429,19 @@ def test_tableau_phi_order_out_of_range_names_the_file(tmp_path, capsys):
 @pytest.mark.parametrize("text, fragment", [
     ("c = 0,0.5\na[3][1] = scale:1 phi:1 w:1\n", "a[3][1]"),
     ("c = 0\nb[1] = scale:2 phi:1 w:1\n", "scale 2"),
-], ids=["stage-out-of-range", "scale-out-of-range"])
+    # c = 0,nan once failed at step 1 in solve and printed nan residuals, exit 0, in
+    # check-order; c = 0,-3 ran phi_0(3 tau A) silently
+    ("c = 0,nan\nb[1] = scale:1 phi:1 w:1\n", "node nan outside [0, 1]"),
+    ("c = 0,-3\nb[1] = scale:1 phi:1 w:1\n", "node -3.0 outside [0, 1]"),
+], ids=["stage-out-of-range", "scale-out-of-range", "node-nan", "node-negative"])
 def test_structurally_bad_tableau_exit_2(tmp_path, capsys, text, fragment):
     path = tmp_path / "bad.tab"
     path.write_text(text)
     with pytest.raises(LocatedError, match=re.escape(fragment)):
         parse_tableau(text)
-    code, _, stderr = run(["check-order", "--tableau", str(path)], capsys)
-    assert code == 2 and fragment in stderr
+    for command in (["check-order"], ["solve", "--n", "25", "--tau", "0.25"]):
+        code, _, stderr = run([*command, "--tableau", str(path)], capsys)
+        assert code == 2 and stderr.startswith(f"error: {path}: ") and fragment in stderr
 
 
 def test_missing_tableau_file_exit_2(tmp_path, capsys):

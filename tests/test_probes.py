@@ -7,7 +7,7 @@ import pytest
 
 from exprk import discretize, matfuncs, probes
 from exprk.discretize import OperatorPair, build_grid, build_operators
-from exprk.errors import ContractError, ParameterError
+from exprk.errors import ContractError, DomainError, ParameterError
 from exprk.matfuncs import frac_power, sym_eigen
 from exprk.probes import (DEFAULT_SMOOTHING_TIMES, TREND_FACTOR, ProbeReport, bounded_trend,
                           fourier_beta_probe, operator_2norm,
@@ -116,6 +116,21 @@ def test_smoothing_probe_gamma_zero():
     lam_min = np.linalg.eigvalsh(ops.A).min()
     assert rep.max_value == pytest.approx(np.exp(-T_GRID[0] * lam_min), rel=1e-12)
     assert rep.max_value < 1.0
+
+
+def test_smoothing_probe_large_gamma_is_finite_and_within_the_envelope():
+    """(t lam)^100 e^{-t lam} once read inf * 0 = nan in the stiff modes."""
+    rep = smoothing_probe(make_ops(399), 100.0, DEFAULT_SMOOTHING_TIMES)
+    assert np.isfinite(rep.values).all()
+    assert 0.0 < rep.max_value <= np.exp(100.0 * np.log(100.0) - 100.0) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("gamma, want", [(0.0, 1.0), (0.5, 0.0)])
+def test_smoothing_probe_where_t_lam_underflows_to_zero(gamma, want):
+    """x^g e^{-x} at x = 0: 1 for g = 0, 0 for g > 0, with no nan from log(0)."""
+    ops = OperatorPair(A=np.array([[0.25]]), B=np.zeros((1, 1)), nu=0.0)
+    assert 5e-324 * 0.25 == 0.0
+    assert smoothing_probe(ops, gamma, [5e-324]).values.tolist() == [want]
 
 
 def test_smoothing_probe_rejects_negative_gamma():
@@ -479,6 +494,20 @@ def test_probes_reject_non_finite_grid_entries(probe, name, grid, bad):
     for entries in (grid + [bad], [bad]):
         with pytest.raises(ParameterError, match=f"{name} must be finite"):
             probe(entries)
+
+
+@pytest.mark.parametrize("probe, label, first", [
+    (lambda: relative_boundedness_probe(0.5, [3], nu=1e-300), "relbound gamma=0.5", "3"),
+    (lambda: smoothing_probe(make_ops(399), 200.0, DEFAULT_SMOOTHING_TIMES),
+     "smoothing gamma=200", f"{DEFAULT_SMOOTHING_TIMES[1]:g}"),
+    (lambda: fourier_beta_probe(worst_case_coefficients, 400.0, [64, 128]),
+     "fourier beta=400 norm=linf", "64"),
+], ids=["relbound-nu-1e-300", "smoothing-gamma-200", "fourier-beta-400"])
+def test_probes_give_no_verdict_from_non_finite_values(probe, label, first):
+    """Each once reported max=nan with a verdict (relbound's read bounded)."""
+    with np.errstate(all="ignore"):
+        with pytest.raises(DomainError, match=f"^{label}: non-finite value at grid value {first}$"):
+            probe()
 
 
 def test_probes_take_integral_float_sizes():

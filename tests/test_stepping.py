@@ -72,7 +72,11 @@ PHI1 = PhiCombo((PhiTerm(1.0, 1, 1.0),))
     ((0.0,), (PhiCombo((PhiTerm(1.0, 1, np.inf),)),), "non-finite coefficient weight"),
     ((0.0,), (PhiCombo((PhiTerm(1.0, 9, 1.0),)),), "phi order 9"),
     ((0.0,), (PhiCombo((PhiTerm(1.0, 1.5, 1.0),)),), "phi order 1.5"),
-], ids=["first-node", "b-count", "weight", "order-9", "order-1.5"])
+    ((0.0, np.nan), (PHI1, PHI1), "node nan outside [0, 1]"),
+    ((0.0, -3.0), (PHI1, PHI1), "node -3.0 outside [0, 1]"),
+    ((0.0, 1.5), (PHI1, PHI1), "node 1.5 outside [0, 1]"),
+], ids=["first-node", "b-count", "weight", "order-9", "order-1.5", "node-nan", "node-negative",
+        "node-above-one"])
 def test_tableau_rejects_broken_structure(c, b, fragment):
     with pytest.raises(ContractError, match=re.escape(fragment)):
         Tableau(name="bad", c=c, a={}, b=b)
