@@ -14,6 +14,8 @@ import functools
 import sys
 from math import log2
 
+import numpy as np
+
 from . import convergence, discretize, orderconditions, probes, stepping
 from .convergence import ExperimentSpec
 from .errors import ParameterError
@@ -206,8 +208,9 @@ def main(argv=None) -> int:
     args, extra = _build_parser().parse_known_args(argv)
     if extra:  # reported by the chosen (sub)command's parser, under its own usage line
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    try:
-        return args.handler(args, resolve_spec(args))
+    try:  # overflow in a run is reported by its error line alone, with no NumPy warnings
+        with np.errstate(all="ignore"):
+            return args.handler(args, resolve_spec(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ParameterError) else EXIT_RUNTIME

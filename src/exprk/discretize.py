@@ -32,6 +32,13 @@ class OperatorPair:
     # set by build_operators only, so A and B are its stencils; replace() drops it
     grid: Grid1D | None = field(default=None, init=False)
 
+    def __post_init__(self):
+        """A and B as float arrays, checked square and of one size (build_operators skips it)."""
+        A, B = np.asarray(self.A, dtype=float), np.asarray(self.B, dtype=float)
+        if A.ndim != 2 or A.shape != A.shape[::-1] or B.shape != A.shape:
+            raise DimensionError("operator matrices must be square and equally sized")
+        self.__dict__.update(A=A, B=B)
+
     def __getattr__(self, name: str) -> np.ndarray:
         """A or B of a build_operators pair: the first read of either writes the stencils
         A = (nu/h^2) tridiag(-1, 2, -1), B = (1/2h) tridiag(-1, 0, 1) into zeros and keeps both."""
@@ -58,7 +65,7 @@ class OperatorPair:
     def B_eigen(self) -> np.ndarray:
         """Q^T B Q, cached like eigen: A and B must not change after first use."""
         Q = self.eigen.eigenvectors
-        return Q.T @ np.asarray(self.B, dtype=float) @ Q
+        return Q.T @ self.B @ Q
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,7 @@ class Stepper:
     def __init__(self, tableau: Tableau, ops: OperatorPair, tau: float):
         if not 0 < tau < math.inf:
             raise ParameterError(f"step size must be positive and finite, got {tau}")
-        A = np.asarray(ops.A, dtype=float)
-        B = np.asarray(ops.B, dtype=float)
-        n = A.shape[0]
-        if A.shape != (n, n) or B.shape != (n, n):
-            raise DimensionError("operator matrices must be square and equally sized")
+        A, B, n = ops.A, ops.B, len(ops.A)
 
         # phi_k(scale * Z), Z = -tau * A, for every (k, scale) in tableau.phi_keys.
         # In A's eigenbasis it is a diagonal, held as a column, so applying it
@@ -152,7 +148,7 @@ def solve_reference_rk4(ops: OperatorPair, u0, T: float, tau_ref: float):
     tau_ref <= 2.7 / rho, with rho the Gershgorin bound on rho(B - A).
     """
     N = check_divides(T, tau_ref, "tau_ref")
-    L = np.asarray(ops.B, dtype=float) - np.asarray(ops.A, dtype=float)
+    L = ops.B - ops.A
     rho = spectral_radius_estimate(L)
     if rho > 0 and tau_ref > RK4_STABILITY_LIMIT / rho:
         raise ParameterError(

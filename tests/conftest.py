@@ -1,4 +1,4 @@
-"""Pin BLAS to one thread before numpy loads, as perfbench/run.py and the scripts do.
+"""Pin BLAS to one thread before numpy loads, as perfbench/run.py and scripts/write_results.py do.
 
 With two OpenBLAS threads the first LAPACK call of a process sometimes stalls
 for about a second, which would land in the timed acceptance fixture.

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from exprk import convergence, discretize, probes, stepping
+from exprk import cli, convergence, discretize, probes, stepping
 from exprk.matfuncs import expm, phi_matrix, phi_values
 from exprk.orderconditions import check_condition, random_stable_matrix
 from exprk.tableaus import (PhiCombo, exponential_euler, second_order,
@@ -313,21 +313,23 @@ def test_committed_results_match(testbed_runs):
 
 
 def test_committed_probe_results_match(tmp_path):
-    """scripts/run_probes.py's set rerun: the same files, the same keys, verdicts and
-    labels, and every number within the benchmark's probe tolerance."""
-    spec = importlib.util.spec_from_file_location("run_probes", ROOT / "scripts" / "run_probes.py")
+    """scripts/write_results.py's probe runs through cli.main: the same files, the same keys,
+    verdicts and labels, and every number within the benchmark's probe tolerance."""
+    spec = importlib.util.spec_from_file_location("write_results",
+                                                  ROOT / "scripts" / "write_results.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    reports = dict(script.reports())
+    assert sorted(script.RESULTS) == sorted(p.name for p in RESULTS.glob("*.csv"))
+    runs = {name: argv for name, argv in script.RESULTS.items() if argv[0] == "probe"}
     committed = sorted(p.name for kind in ("smoothing", "relbound", "fourier")
                        for p in RESULTS.glob(f"{kind}_*.csv"))
-    assert sorted(reports) == committed
+    assert sorted(runs) == committed
     mismatched = []
-    for name, report in reports.items():
-        report.to_csv(tmp_path / name)
+    for name, argv in runs.items():
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) != cli.EXIT_USAGE
         if not same_fields((tmp_path / name).read_text(), (RESULTS / name).read_text(),
                            PROBE_RTOL, 0.0):
             mismatched.append(name)
     assert verdict("probe results", not mismatched,
-                   f"{len(reports)} probe runs match results/ within {PROBE_RTOL:g} rel"
+                   f"{len(runs)} probe runs match results/ within {PROBE_RTOL:g} rel"
                    + (f"; mismatched: {mismatched}" if mismatched else ""))

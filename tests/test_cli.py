@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -163,12 +164,26 @@ def test_check_order_own_claims_failure_names_row(capsys, monkeypatch):
     assert code == 1 and "condition 2 fails in weak form" in stdout
 
 
+def test_check_order_takes_a_seed(capsys):
+    code, stdout, _ = run(["check-order", "--scheme", "euler", "--seed", "3"], capsys)
+    assert code == 0 and stdout != run(["check-order", "--scheme", "euler"], capsys)[1]
+
+
 def test_check_order_unknown_scheme_exit_2(capsys):
     code, _, stderr = run(["check-order", "--scheme", "etd5"], capsys)
     assert code == 2 and "etd5" in stderr
 
 
 # ----------------------------------------------------------------- probe
+
+def test_probe_overflow_prints_only_its_error_line(capsys):
+    """NumPy's overflow warnings stay off stderr; the error line alone reports the run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, stderr = run(["probe", "fourier", "--beta", "400", "--coeffs", "1/k"], capsys)
+    assert code == 1 and stderr.startswith("error:") and stderr.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 def test_probe_smoothing_bounded(tmp_path, capsys):
     out = tmp_path / "smooth.csv"
@@ -399,7 +414,8 @@ def test_parse_tableau_missing_nodes():
 @pytest.mark.parametrize("text, where", [
     ("c = 0,0.5\na[2][1] = scale:0.5 phi:one w:1\n", ":2:11: "),
     ("b[1] = scale:1 phi:1 w:1\n", ": missing node line"),
-], ids=["bad-term", "no-nodes"])
+    ("c = 0\nd[1] = scale:1 phi:1 w:1\n", ":2: unknown target 'd[1]'"),
+], ids=["bad-term", "no-nodes", "unknown-target"])
 def test_tableau_file_error_names_the_file(tmp_path, capsys, text, where):
     path = tmp_path / "bad.tab"
     path.write_text(text)
@@ -433,7 +449,9 @@ def test_tableau_phi_order_out_of_range_names_the_file(tmp_path, capsys):
     # check-order; c = 0,-3 ran phi_0(3 tau A) silently
     ("c = 0,nan\nb[1] = scale:1 phi:1 w:1\n", "node nan outside [0, 1]"),
     ("c = 0,-3\nb[1] = scale:1 phi:1 w:1\n", "node -3.0 outside [0, 1]"),
-], ids=["stage-out-of-range", "scale-out-of-range", "node-nan", "node-negative"])
+    ("c = 0\nb[2] = scale:1 phi:1 w:1\n", "b[2] outside stage range 1..1"),
+], ids=["stage-out-of-range", "scale-out-of-range", "node-nan", "node-negative",
+        "b-out-of-range"])
 def test_structurally_bad_tableau_exit_2(tmp_path, capsys, text, fragment):
     path = tmp_path / "bad.tab"
     path.write_text(text)

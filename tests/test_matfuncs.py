@@ -360,6 +360,11 @@ def test_phi_combination_dimension_error():
         phi_combination(np.eye(3), [np.ones(2)])
 
 
+def test_phi_combination_needs_a_vector():
+    with pytest.raises(ParameterError, match="at least one vector"):
+        phi_combination(np.eye(3), [])
+
+
 # -------------------------------------------------------------- sym_eigen
 
 def test_sym_eigen_identity():

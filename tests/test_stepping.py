@@ -386,12 +386,33 @@ def test_stepper_rejects_bad_step_size(tau):
         Stepper(exponential_euler(), scalar_ops(1.0, 0.0), tau)
 
 
-@pytest.mark.parametrize("A, B", [(np.zeros((2, 3)), np.zeros((2, 2))),
-                                  (np.zeros((2, 2)), np.zeros((3, 3)))],
-                         ids=["A-not-square", "B-other-size"])
-def test_stepper_rejects_operator_shapes(A, B):
+def _step(ops):
+    return Stepper(exponential_euler(), ops, 0.25)
+
+
+def _rk4(ops):
+    return solve_reference_rk4(ops, np.ones(len(ops.A)), 1.0, 2.0 ** -8)
+
+
+# The pair checks its own shapes, so no reader of it can broadcast a mismatch.
+@pytest.mark.parametrize("A, B, reader", [
+    pytest.param(np.zeros((2, 3)), np.zeros((2, 2)), _step, id="A-not-square"),
+    pytest.param(np.zeros((2, 2)), np.zeros((3, 3)), _step, id="B-other-size"),
+    pytest.param([[2.0]], np.zeros((3, 3)), _rk4, id="1x1-A-3x3-B-rk4-reference"),
+    pytest.param([[2.0]], np.zeros((3, 3)), default_reference_step,
+                 id="1x1-A-3x3-B-reference-step"),
+    pytest.param(np.zeros((3, 3)), np.zeros((1, 3)), _rk4, id="B-not-square-rk4-reference"),
+    pytest.param(np.zeros((3, 3)), np.zeros((1, 3)), default_reference_step,
+                 id="B-not-square-reference-step"),
+])
+def test_stepper_rejects_operator_shapes(A, B, reader):
     with pytest.raises(DimensionError, match="square and equally sized"):
-        Stepper(exponential_euler(), OperatorPair(A=A, B=B, nu=0.0), 0.25)
+        reader(OperatorPair(A=A, B=B, nu=1.0))
+
+
+def test_solve_rejects_wrong_length_initial_state():
+    with pytest.raises(DimensionError, match=r"state shape \(3,\) does not match operators \(1\)"):
+        solve(exponential_euler(), scalar_ops(1.0, 0.0), np.ones(3), 1.0, 0.25)
 
 
 @pytest.mark.parametrize("T, tau", [(1.0, 0.3), (1.0, 2.0), (1.0, 0.0), (1.0, -0.25),
