@@ -67,6 +67,11 @@ class OperatorPair:
         Q = self.eigen.eigenvectors
         return Q.T @ self.B @ Q
 
+    @cached_property
+    def phi_memo(self) -> dict:
+        """matfuncs.phi_matrices' memo for this pair's Stepper builds: tau/2 reuses tau's levels."""
+        return {}
+
 
 @dataclass(frozen=True)
 class NormTriple:

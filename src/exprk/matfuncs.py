@@ -56,24 +56,20 @@ def is_symmetric(M):
     return np.abs(D, out=D).max() <= _SYMMETRY_RTOL * scale
 
 
-def _squarings(norm1, bound):
-    """The least s >= 0 with norm1 / 2^s <= bound, as ceil(log2(norm1 / bound))."""
-    return max(0, math.ceil(math.log2(norm1 / bound))) if norm1 > bound else 0
-
-
-def _expm_levels(Ms):
-    """e^(2^j Ms) for j = 0, 1, ...: one Pade solve at Ms, then one squaring per level."""
-    n = Ms.shape[0]
-    b = _PADE13
-    I = np.eye(n)
-    M2 = Ms @ Ms
-    M4 = M2 @ M2
-    M6 = M4 @ M2
-    U = Ms @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-              + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * I)
-    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * I)
-    E = np.linalg.solve(V - U, V + U)
+def _expm_levels(Ms, E=None):
+    """e^(2^j Ms), j = 0, 1, ...: a Pade solve at Ms (none from a level E), a squaring a level."""
+    if E is None:
+        n = Ms.shape[0]
+        b = _PADE13
+        I = np.eye(n)
+        M2 = Ms @ Ms
+        M4 = M2 @ M2
+        M6 = M4 @ M2
+        U = Ms @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+                  + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * I)
+        V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+             + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * I)
+        E = np.linalg.solve(V - U, V + U)
     while True:
         yield E
         E = E @ E
@@ -142,23 +138,25 @@ def phi_combination(M, vs):
     return expm(aug)[:n, -1]
 
 
-def _phi_levels(Y, kmax):
+def _phi_levels(Y, kmax, phis=None):
     """[phi_0, ..., phi_kmax] at 2^j Y for j = 0, 1, ... (Skaflestad & Wright 2009).
 
-    At ||Y||_1 <= 1 one Horner pass gives the Taylor sum of phi_kmax(Y) and
-    then phi_j = Y phi_{j+1} + I/j!; each level is one doubling
-    phi_j(2Y) = 2^-j (phi_0 phi_j + sum_{i=1..j} phi_i / (j-i)!).
+    At ||Y||_1 <= 1 one Horner pass gives the Taylor sum of phi_kmax(Y) and then
+    phi_j = Y phi_{j+1} + I/j!; each level is one doubling, from a given level phis with no
+    Horner pass: phi_j(2Y) = 2^-j (phi_0 phi_j + sum_{i=1..j} phi_i / (j-i)!).
     Both run in place, as fresh n x n temporaries page-fault: Horner starts at I/(kmax+19)!
     (Y @ 0 + I/(kmax+19)! for finite Y) and adds 1/j! to Y @ P's diagonal; a doubling sums
     into its fresh entry via one scratch and scales by 0.5^j. Values are the out-of-place ones.
     """
-    P, phis, spare = np.zeros_like(Y), [], np.empty_like(Y)
-    P.flat[::len(Y) + 1] = 1.0 / math.factorial(kmax + _PHI_TAYLOR_TERMS - 1)
-    for j in range(kmax + _PHI_TAYLOR_TERMS - 2, -1, -1):
-        P = Y @ P
-        P.flat[::len(Y) + 1] += 1.0 / math.factorial(j)
-        if j <= kmax:
-            phis.insert(0, P)
+    spare = np.empty_like(Y)
+    if phis is None:
+        P, phis = np.zeros_like(Y), []
+        P.flat[::len(Y) + 1] = 1.0 / math.factorial(kmax + _PHI_TAYLOR_TERMS - 1)
+        for j in range(kmax + _PHI_TAYLOR_TERMS - 2, -1, -1):
+            P = Y @ P
+            P.flat[::len(Y) + 1] += 1.0 / math.factorial(j)
+            if j <= kmax:
+                phis.insert(0, P)
     while True:
         yield phis
         old, phis = phis, [phis[0] @ phis[0]]
@@ -170,13 +168,14 @@ def _phi_levels(Y, kmax):
             phis.append(np.multiply(G, 0.5 ** j, out=G))
 
 
-def _chain_levels(M, kmax, bound, levels):
+def _chain_levels(M, kmax, bound, levels, old, memo):
     """{t: level s of levels(Y, k)} for each t in kmax, with t M = 2^s Y, ||Y||_1 <= bound.
 
     t = m 2^e with 1 <= |m| < 2 (so m M is M itself at t = 1, as expm needs), and a
     power of two scales exactly (away from overflow and subnormals), so t M = 2^e (m M):
     the members of one family m with one d = e - s share Y = 2^d (m M), bit for bit
     what t M / 2^s gives, and one chain run to their largest s, with k their largest kmax.
+    Levels kept in old are read, not rerun, and memo gets each chain's window (phi_matrices).
     """
     family, groups = {}, defaultdict(lambda: defaultdict(list))
     for t in kmax:
@@ -185,19 +184,26 @@ def _chain_levels(M, kmax, bound, levels):
         if m not in family:
             mM = m * M
             family[m] = mM, np.linalg.norm(mM, 1)
-        s = _squarings(math.ldexp(family[m][1], e), bound)
+        norm = math.ldexp(family[m][1], e)  # ||t M||_1, and s the least with norm / 2^s <= bound
+        s = max(0, math.ceil(math.log2(norm / bound))) if norm > bound else 0
         groups[m, e - s][s].append(t)
     out = {}
     for (m, d), members in groups.items():
         k = max(kmax[t] for ts in members.values() for t in ts)
-        for s, level in enumerate(levels(np.ldexp(family[m][0], d), k)):
-            out.update(dict.fromkeys(members.get(s, ()), level))
-            if s == max(members):
-                break
+        key = k, (Y := np.ldexp(family[m][0], d)).tobytes()
+        kept, lo = old.get(key, {}), min(members) - 1
+        missing = [s for s in members if s not in kept]
+        if missing:  # one run, from the highest kept level below them to the highest
+            start = max((j for j in kept if j < min(missing)), default=0)
+            for s, level in zip(range(start, max(missing) + 1), levels(Y, k, kept.get(start))):
+                if s == 0 or s >= lo:
+                    kept[s] = level
+        memo[key] = {s: kept[s] for s in kept if s == 0 or lo <= s <= max(members)}
+        out.update((t, kept[s]) for s, ts in members.items() for t in ts)
     return out
 
 
-def phi_matrices(M, keys):
+def phi_matrices(M, keys, memo=None):
     """{(k, t): phi_k(t M)} for every key (k, t) in keys, symmetric M or not.
 
     The t of one power-of-two family (t = 1, 1/2, 1/4, ...) share one chain
@@ -207,6 +213,10 @@ def phi_matrices(M, keys):
     a chain's base (||t M||_1 <= 1 for phi, <= 5.37 for phi_0), or outside
     every family, gets a chain of its own; t = 0 gives I/k! exactly. Only
     the t of a phi_0 key run a phi_0 chain.
+
+    A memo dict kept by the caller passes levels on, as M and M/2 share their chains' bases Y
+    bit for bit: each call sets it to {(k, Y's bytes): {s: level}} for its chains (k = 0: Pade),
+    level 0 and one below the lowest read to the highest; values, read-only, are as without it.
     """
     M = _as_square(M)
     keys = set(keys)
@@ -216,9 +226,11 @@ def phi_matrices(M, keys):
     todo, kmax = keys - out.keys(), {}
     for k, t in todo:
         kmax[t] = max(k, kmax.get(t, 0))
+    old, memo = ({}, {}) if memo is None else (dict(memo), memo)
+    memo.clear()
     phi0 = _chain_levels(M, {t: 0 for k, t in todo if k == 0}, _PADE13_BOUND,
-                         lambda Y, _: _expm_levels(Y))
-    phis = _chain_levels(M, {t: k for t, k in kmax.items() if k}, 1.0, _phi_levels)
+                         lambda Y, _, E: _expm_levels(Y, E), old, memo)
+    phis = _chain_levels(M, {t: k for t, k in kmax.items() if k}, 1.0, _phi_levels, old, memo)
     out.update({(k, t): phis[t][k] if k else phi0[t] for k, t in todo})
     return out
 

@@ -36,10 +36,12 @@ def bounded_trend(values) -> bool:
     its coefficients are absolutely summable (|a_k| ~ k^-1.02), so its
     partial sums are bounded.
     """
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
+    v = np.asarray(values, dtype=float).ravel().tolist()
+    if len(v) < 2:
         return True
-    return bool(v[-1] <= TREND_FACTOR * np.median(v[:-1]))
+    # np.median's float, without its first call's import of numpy.ma (~1.2 MB resident)
+    e, m = sorted(v[:-1]), (len(v) - 1) // 2
+    return v[-1] <= TREND_FACTOR * (e[m] if len(e) % 2 else (e[m - 1] + e[m]) / 2)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ in-place sums, each sum starting at phi_0 and adding its terms left to right.
 Any other A takes its phi matrices from one matfuncs.phi_matrices call, in
 which nodes of one power-of-two family (1 and 1/2 for rk2(1/2) and rk3paper)
 share one squaring chain for phi_0 and one doubling chain for the higher phi.
+The pair's phi_memo keeps each chain's base and its levels from one below the lowest
+read up, keyed by top phi order and base bits: tau/2 needs no Horner pass or Pade solve.
 
 solve runs its N matvecs unchecked and tests finiteness once at the end: a
 non-finite entry stays non-finite through every later matvec. Only a failed
@@ -58,7 +60,8 @@ class Stepper:
             phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in tableau.phi_keys}
             apply = np.multiply
         else:
-            self.Q, phi, apply = np.eye(n), phi_matrices(-tau * A, tableau.phi_keys), np.matmul
+            self.Q, apply = np.eye(n), np.matmul
+            phi = phi_matrices(-tau * A, tableau.phi_keys, ops.phi_memo)
         zero = np.zeros_like(phi[0, 1.0])
         # Every T_j is formed in this one buffer: page faults on fresh n x n
         # temporaries took ~2.5 of ~11 ms of an rk3paper build at n = 399.
@@ -180,9 +183,17 @@ def solve_reference_rk4(ops: OperatorPair, u0, T: float, tau_ref: float):
     return u
 
 
+def _gershgorin_radius(ops: OperatorPair) -> float:
+    """spectral_radius_estimate(A - B); for a build_operators pair its largest row sum, no n x n."""
+    if ops.grid is None:
+        return spectral_radius_estimate(ops.A - ops.B)
+    a, b = ops.nu / ops.grid.h ** 2, 1.0 / (2.0 * ops.grid.h)
+    return 2.0 * a + (a + b) + (abs(a - b) if ops.grid.n_inner > 2 else 0.0)
+
+
 def default_reference_step(ops: OperatorPair, T: float = 1.0) -> float:
-    """Largest tau_ref = T/N with tau_ref <= min(2^-16, 0.9 * 2.7 / rho)."""
-    rho = spectral_radius_estimate(ops.A - ops.B)
+    """Largest tau_ref = T/N with tau_ref <= min(2^-16, 0.9 * 2.7 / _gershgorin_radius(ops))."""
+    rho = _gershgorin_radius(ops)
     bound = 2.0 ** -16
     if rho > 0:
         bound = min(bound, 0.9 * RK4_STABILITY_LIMIT / rho)

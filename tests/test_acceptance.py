@@ -1,13 +1,14 @@
 """Acceptance gate: nine criteria, one printed pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
-The last two checks compare the studies and the probe runs with the CSVs
-committed under results/.
+The last two checks run the studies and probes of scripts/write_results.py
+through the exprk CLI and compare them with the CSVs committed under results/.
 Criterion 8 decides boundedness of the Fourier partial sums by a certified
 tail bound over all truncation lengths; the probes' own bounded-trend
 verdict is printed beside it as a diagnostic only.
 """
 
+import dataclasses
 import importlib.util
 import math
 import pathlib
@@ -23,8 +24,7 @@ from exprk.orderconditions import check_condition, random_stable_matrix
 from exprk.tableaus import (PhiCombo, exponential_euler, second_order,
                             third_order)
 
-TESTBED = dict(n_inner=399, nu=0.2, T=1.0,
-               tau_list=tuple(2.0 ** -k for k in range(4, 11)))
+TESTBED = convergence.ExperimentSpec()  # the paper's: n = 399, nu = 0.2, T = 1, tau = 2^-4..2^-10
 
 
 def verdict(no, ok, detail):
@@ -38,8 +38,7 @@ def testbed_runs():
     out = {}
     for scheme in ("euler", "rk2", "rk3paper"):
         t0 = time.perf_counter()
-        report = convergence.run_experiment(
-            convergence.ExperimentSpec(scheme=scheme, c=0.5, **TESTBED))
+        report = convergence.run_experiment(dataclasses.replace(TESTBED, scheme=scheme))
         out[scheme] = (report, convergence.render_csv(report),
                        time.perf_counter() - t0)
     return out
@@ -262,8 +261,7 @@ def test_criterion_8_tail_diagnostic():
 def test_criterion_9_determinism(testbed_runs):
     identical = {}
     for scheme, (report, csv_text, _) in testbed_runs.items():
-        rerun = convergence.run_experiment(
-            convergence.ExperimentSpec(scheme=scheme, c=0.5, **TESTBED))
+        rerun = convergence.run_experiment(dataclasses.replace(TESTBED, scheme=scheme))
         identical[scheme] = (convergence.render_csv(rerun) == csv_text)
     ok = all(identical.values())
     assert verdict(9, ok,
@@ -301,13 +299,37 @@ def same_fields(got_text, want_text, rtol=RESULTS_RTOL, atol=RESULTS_ATOL):
                                       for (_, g), (_, w) in zip(gl, wl))
 
 
-def test_committed_results_match(testbed_runs):
-    """Header and comment keys exactly, every number within the benchmark's tolerance."""
-    mismatched = [scheme for scheme, (_, csv_text, _) in testbed_runs.items()
-                  if not same_fields(csv_text,
-                                     (RESULTS / f"convergence_{scheme}.csv").read_text())]
+def script_runs(command, kinds):
+    """{file: exprk argv} of scripts/write_results.py's `command` runs; their files must
+    be the committed results/{kind}_*.csv, and the table must name every committed file."""
+    spec = importlib.util.spec_from_file_location("write_results",
+                                                  ROOT / "scripts" / "write_results.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert sorted(script.RESULTS) == sorted(p.name for p in RESULTS.glob("*.csv"))
+    runs = {name: argv for name, argv in script.RESULTS.items() if argv[0] == command}
+    assert sorted(runs) == sorted(p.name for kind in kinds for p in RESULTS.glob(f"{kind}_*.csv"))
+    return runs
+
+
+def mismatched_runs(runs, out_dir, rtol, atol):
+    """The files of runs whose cli.main output into out_dir differs from results/ beyond
+    the tolerance (same_fields)."""
+    mismatched = []
+    for name, argv in runs.items():
+        assert cli.main([*argv, "--out", str(out_dir / name)]) != cli.EXIT_USAGE
+        if not same_fields((out_dir / name).read_text(), (RESULTS / name).read_text(), rtol, atol):
+            mismatched.append(name)
+    return mismatched
+
+
+def test_committed_results_match(tmp_path):
+    """scripts/write_results.py's convergence runs through cli.main: header and comment keys
+    exactly, every number within the benchmark's tolerance."""
+    runs = script_runs("convergence", ["convergence"])
+    mismatched = mismatched_runs(runs, tmp_path, RESULTS_RTOL, RESULTS_ATOL)
     assert verdict("results", not mismatched,
-                   "testbed studies match results/convergence_*.csv within "
+                   f"{len(runs)} `exprk convergence` runs match results/convergence_*.csv within "
                    f"{RESULTS_RTOL:g} rel + {RESULTS_ATOL:g} abs"
                    + (f"; mismatched: {mismatched}" if mismatched else ""))
 
@@ -315,21 +337,8 @@ def test_committed_results_match(testbed_runs):
 def test_committed_probe_results_match(tmp_path):
     """scripts/write_results.py's probe runs through cli.main: the same files, the same keys,
     verdicts and labels, and every number within the benchmark's probe tolerance."""
-    spec = importlib.util.spec_from_file_location("write_results",
-                                                  ROOT / "scripts" / "write_results.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert sorted(script.RESULTS) == sorted(p.name for p in RESULTS.glob("*.csv"))
-    runs = {name: argv for name, argv in script.RESULTS.items() if argv[0] == "probe"}
-    committed = sorted(p.name for kind in ("smoothing", "relbound", "fourier")
-                       for p in RESULTS.glob(f"{kind}_*.csv"))
-    assert sorted(runs) == committed
-    mismatched = []
-    for name, argv in runs.items():
-        assert cli.main([*argv, "--out", str(tmp_path / name)]) != cli.EXIT_USAGE
-        if not same_fields((tmp_path / name).read_text(), (RESULTS / name).read_text(),
-                           PROBE_RTOL, 0.0):
-            mismatched.append(name)
+    runs = script_runs("probe", ["smoothing", "relbound", "fourier"])
+    mismatched = mismatched_runs(runs, tmp_path, PROBE_RTOL, 0.0)
     assert verdict("probe results", not mismatched,
                    f"{len(runs)} probe runs match results/ within {PROBE_RTOL:g} rel"
                    + (f"; mismatched: {mismatched}" if mismatched else ""))

@@ -237,6 +237,39 @@ def test_phi_matrices_shared_chains_match_one_key_calls():
         assert np.array_equal(table[k, 0.0], np.eye(8) / math.factorial(k))
 
 
+@pytest.mark.parametrize("kmax", [1, 3, MAX_PHI_ORDER])
+def test_level_loops_resume_bit_for_bit(kmax):
+    # a run resumed from a kept level gives the levels an unbroken run gives, with no
+    # Horner pass or Pade solve
+    Y = np.random.default_rng(41).standard_normal((9, 9))
+    Y /= np.linalg.norm(Y, 1)
+    for levels, resume in ((lambda: matfuncs._phi_levels(Y, kmax),
+                            lambda lv: matfuncs._phi_levels(Y, kmax, lv)),
+                           (lambda: matfuncs._expm_levels(5.0 * Y),
+                            lambda lv: matfuncs._expm_levels(5.0 * Y, lv))):
+        whole = [lv for lv, _ in zip(levels(), range(8))]
+        for j in (0, 3, 6):
+            for want, got in zip(whole[j:], resume(whole[j])):
+                assert np.array_equal(want, got), (kmax, j)
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5, 3.0])
+def test_phi_matrices_memo_keeps_every_value(scale):
+    # a memo carried from M to M/2, 2M or 3M changes no bit, for every family of
+    # the shared-chain key set above (1, 1/2, 1/4; 1/3; 0; -1)
+    rng = np.random.default_rng(23)
+    M = rng.standard_normal((8, 8))
+    M *= 40.0 / np.linalg.norm(M, 1)
+    keys = {(k, t) for t, top in {1.0: 3, 0.5: 2, 0.25: 3, 1.0 / 3.0: 2, 0.0: 2, -1.0: 1}.items()
+            for k in range(top + 1)}
+    memo = {}
+    for X in (M, M / scale, M / scale ** 2, M):
+        table = phi_matrices(X, keys, memo)
+        fresh = phi_matrices(X, keys)
+        assert all(np.array_equal(table[key], fresh[key]) for key in keys)
+        assert memo and all(0 in levels for levels in memo.values())
+
+
 def out_of_place_phi_levels(Y, kmax):
     """_phi_levels as plain out-of-place formulas: Horner from P = 0 and a fresh
     sum per doubling; the in-place chain must give its values bit for bit."""

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exprk import discretize, matfuncs, probes
 from exprk.discretize import OperatorPair, build_grid, build_operators
@@ -37,6 +39,34 @@ def test_bounded_trend_threshold_exact():
     # last value exactly at factor x median still counts as bounded
     assert bounded_trend([1.0, 1.0, 1.0, TREND_FACTOR])
     assert not bounded_trend([1.0, 1.0, 1.0, TREND_FACTOR + 1e-9])
+
+
+def np_median_trend(values):
+    """bounded_trend's former rule, by np.median."""
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):  # the middle pair's sum may overflow, as in bounded_trend
+        return True if v.size < 2 else bool(v[-1] <= TREND_FACTOR * np.median(v[:-1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16))
+def test_bounded_trend_matches_np_median_rule(values):
+    assert bounded_trend(values) == np_median_trend(values)
+
+
+def test_bounded_trend_matches_np_median_rule_on_probe_like_sequences():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        v = np.exp(rng.normal(0.0, 0.05, int(rng.integers(2, 16))).cumsum())
+        assert bounded_trend(v) == np_median_trend(v)
+
+
+def test_bounded_trend_takes_no_np_median(monkeypatch):
+    # np.median's first call imports numpy.ma, ~1.2 MB resident in a probe run
+    def never(*args, **kwargs):
+        raise AssertionError("bounded_trend called np.median")
+    monkeypatch.setattr(np, "median", never)
+    assert bounded_trend([3.0, 1.0, 2.0, 2.1]) and not bounded_trend([1.0, 2.0, 4.0, 8.0])
 
 
 def test_bounded_trend_short_inputs():

@@ -1,6 +1,7 @@
 """Scheme construction and time stepping, checked against scalar exact solutions."""
 
 import functools
+import math
 import re
 import warnings
 
@@ -181,9 +182,9 @@ def test_nonsymmetric_stepper_reads_tableau_phi_keys(tab, want, monkeypatch):
     ops = OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
     calls = []
 
-    def counted(M, keys):
+    def counted(M, keys, memo=None):
         calls.append(set(keys))
-        return matfuncs.phi_matrices(M, keys)
+        return matfuncs.phi_matrices(M, keys, memo)
     monkeypatch.setattr(stepping, "phi_matrices", counted)
     Stepper(tab, ops, 0.02)
     assert calls == [tab.phi_keys] and tab.phi_keys == want
@@ -203,6 +204,67 @@ def test_nonsymmetric_stepper_runs_one_chain_per_kernel(tau, monkeypatch):
         monkeypatch.setattr(matfuncs, name, counted)
     Stepper(third_order(), ops, tau)
     assert sorted(calls) == ["_expm_levels", "_phi_levels"]
+
+
+# ------------------------------------------------------ phi chain memo
+
+MEMO_SCHEMES = [exponential_euler(), second_order(0.5), third_order()]
+MEMO_TAUS = {
+    "descending": [2.0 ** -k for k in range(3, 9)],
+    "ascending": [2.0 ** -k for k in range(8, 2, -1)],
+    "mixed": [0.02, 0.3, 0.01, 0.15, 2.0 ** -5],
+}
+
+
+def split_pair(n=30):
+    """The testbed split A' = A - B/2, B' = B/2: A' is not symmetric."""
+    base = build_operators(build_grid(n), 0.2)
+    return OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
+
+
+def spy_level_loops(monkeypatch):
+    """A list that gets (kind, resumed) per run of a chain's level loop: kind "pade" or
+    "phi", resumed False when the run starts with its base step (a Pade solve or a Horner pass)."""
+    runs = []
+    for name, kind, at in (("_expm_levels", "pade", 1), ("_phi_levels", "phi", 2)):
+        def counted(*args, kind=kind, at=at, real=getattr(matfuncs, name)):
+            runs.append((kind, len(args) > at and args[at] is not None))
+            return real(*args)
+        monkeypatch.setattr(matfuncs, name, counted)
+    return runs
+
+
+@pytest.mark.parametrize("order", MEMO_TAUS)
+@pytest.mark.parametrize("tab", MEMO_SCHEMES, ids=["euler", "rk2", "rk3paper"])
+def test_memo_builds_match_fresh_pair_builds(tab, order):
+    # the memo only skips work: every R is the bits a fresh pair's first build gives
+    shared = split_pair()
+    for tau in MEMO_TAUS[order]:
+        assert np.array_equal(Stepper(tab, shared, tau).R, Stepper(tab, split_pair(), tau).R), tau
+        # a chain keeps its base and at most the two levels read and one below them
+        assert shared.phi_memo and all(0 in levels and len(levels) <= 4
+                                       for levels in shared.phi_memo.values()), tau
+
+
+@pytest.mark.parametrize("tab", MEMO_SCHEMES, ids=["euler", "rk2", "rk3paper"])
+def test_memo_halving_study_runs_one_base_step_per_chain(tab, monkeypatch):
+    # tau, tau/2, tau/4, tau/8: the first build runs both chains from their bases, the
+    # third resumes each from its base, the second and fourth read kept levels only
+    runs = spy_level_loops(monkeypatch)
+    ops = split_pair(100)
+    for k in range(3, 7):
+        Stepper(tab, ops, 2.0 ** -k)
+    for kind in ("pade", "phi"):
+        resumed = [r for kd, r in runs if kd == kind]
+        assert resumed.count(False) == 1 and len(resumed) <= 2, (kind, resumed)
+
+
+def test_memo_lives_with_its_pair(monkeypatch):
+    # no cache outlives a pair: two fresh pairs each run their own Horner pass and Pade solve
+    runs = spy_level_loops(monkeypatch)
+    for _ in range(2):
+        Stepper(third_order(), split_pair(), 0.02)
+    assert runs.count(("phi", False)) == 2 and runs.count(("pade", False)) == 2
 
 
 # ------------------------------------------------------ bit-identity pins
@@ -561,6 +623,52 @@ def test_default_reference_step_bounds():
     assert tau_ref <= 2.0 ** -16 + 1e-18
     assert tau_ref <= 0.9 * 2.7 / rho
     assert abs(1.0 / tau_ref - round(1.0 / tau_ref)) <= 1e-9
+
+
+def dense_gershgorin(g, nu, rows=256):
+    """spectral_radius_estimate(A - B) of the testbed pair on g, its dense rows formed a
+    block of rows at a time, so n = 4000 needs no n x n array."""
+    n, a, b = g.n_inner, nu / g.h ** 2, 1.0 / (2.0 * g.h)
+    rho = 0.0
+    for r in range(0, n, rows):
+        i = np.arange(r, min(n, r + rows))
+        A, B = np.zeros((len(i), n)), np.zeros((len(i), n))
+        A[i - r, i] = 2.0 * a
+        up, down = i[i < n - 1], i[i > 0]
+        A[up - r, up + 1] = A[down - r, down - 1] = -a
+        B[up - r, up + 1], B[down - r, down - 1] = b, -b
+        rho = max(rho, spectral_radius_estimate(A - B))
+    return rho
+
+
+def test_dense_gershgorin_oracle_forms_the_testbed_pair():
+    g = build_grid(25)
+    ops = build_operators(g, 0.2)
+    assert dense_gershgorin(g, 0.2, rows=7) == spectral_radius_estimate(ops.A - ops.B)
+
+
+@pytest.mark.parametrize("n", [2, 3, 25, 399, 4000])
+def test_reference_radius_closed_form_matches_dense_row_sums(n):
+    g = build_grid(n)
+    ops = build_operators(g, 0.2)
+    rho, dense = stepping._gershgorin_radius(ops), dense_gershgorin(g, 0.2)
+    assert abs(rho - dense) <= 2 * np.spacing(dense), (rho, dense)
+    assert "A" not in vars(ops)  # the closed form formed no matrix
+
+
+def test_reference_radius_of_a_general_pair_is_the_dense_row_sum():
+    pair = split_pair()
+    assert stepping._gershgorin_radius(pair) == spectral_radius_estimate(pair.A - pair.B)
+
+
+def test_default_reference_step_of_the_testbed_is_unchanged():
+    # 2^-16 at the paper's n = 399, nu = 0.2, where rho = 128000 is exact either way, and
+    # the dense rule's tau_ref where the stability bound binds (n = 4000)
+    for n, want in ((399, 2.0 ** -16), (4000, None)):
+        g = build_grid(n)
+        if want is None:
+            want = 1.0 / math.ceil(1.0 / (0.9 * 2.7 / dense_gershgorin(g, 0.2)))
+        assert default_reference_step(build_operators(g, 0.2), 1.0) == want, n
 
 
 # ------------------------------------------------ banded RK4 reference
