@@ -112,7 +112,7 @@ def _build_parser():
     k.set_defaults(parser=k)
     k.add_argument("--beta", type=float, default=0.24,
                    help="Fourier probe exponent (default: %(default)s)")
-    k.add_argument("--norm", choices=("l1", "l2", "linf"), default="l2",
+    k.add_argument("--norm", choices=convergence.NORMS, default="l2",
                    help="norm for the Fourier probe (default: %(default)s)")
     k.add_argument("--coeffs", choices=COEFFS, default="u0", help="Fourier coefficient rule: "
                    "initial-data sine series or 1/k (default: %(default)s)")

@@ -30,6 +30,7 @@ MODES = ("strong", "weak", "weak-b-only")
 PASS_TOLERANCE = 1e-9  # residual <= tol * (1 + ||rhs||_inf)
 _RANDOM_Z_NORM = 5.0  # 1-norm cap of random_stable_matrix
 _POWER = {1: 0, 2: 1, 4: 2}  # condition: p in sum_i b_i(Z) c_i^p / p! = phi_{p+1}(Z)
+CLAIM_MODES = {"strong": ("weak", "strong"), "weak": ("weak", "weak-b-only")}
 
 
 def _inf_norm(M):
@@ -126,10 +127,11 @@ class OrderConditionReport:
     rows: Tuple[ConditionResidual, ...]
 
     def to_table(self) -> str:
-        lines = [f"{'condition':>9}  {'stage':>5}  {'mode':<11}  {'z_spec':<10}  "
+        w = max([len("z_spec")] + [len(r.z_spec) for r in self.rows])
+        lines = [f"{'condition':>9}  {'stage':>5}  {'mode':<11}  {'z_spec':<{w}}  "
                  f"{'residual':>12}  {'status':<6}"]
         for r in self.rows:
-            lines.append(f"{r.condition:>9}  {r.stage:>5}  {r.mode:<11}  {r.z_spec:<10}  "
+            lines.append(f"{r.condition:>9}  {r.stage:>5}  {r.mode:<11}  {r.z_spec:<{w}}  "
                          f"{r.residual:>12.3e}  {'pass' if r.passed else 'fail':<6}")
         return "\n".join(lines) + "\n"
 
@@ -150,8 +152,8 @@ def full_report(tableau: Tableau, z_seed: int = 0) -> OrderConditionReport:
     """All five conditions on three Z specifications.
 
     (a) the zero matrix (weak form), (b) a seeded random stable 6x6
-    matrix, (c) Z = -tau*A for the n=10 testbed with tau = 0.1.
-    Condition 5 is additionally evaluated with a seeded random J.
+    matrix, (c) Z = -tau*A for the n=10 testbed with tau = 0.1. On (b) and
+    (c), condition 5 also runs weak-b-only (J = I) and with a seeded random J.
     """
     g = discretize.build_grid(10)
     ops = discretize.build_operators(g, ExperimentSpec.nu)
@@ -170,21 +172,23 @@ def full_report(tableau: Tableau, z_seed: int = 0) -> OrderConditionReport:
                 rows.append(ConditionResidual(no, stage, mode, z_spec, resid, rhs))
         if mode == "strong":
             Jr = np.random.default_rng(z_seed + 1).standard_normal((n, n))
-            (resid, rhs), = _residuals(tableau, 5, phi, Jr, mode).values()
-            rows.append(ConditionResidual(5, 0, mode, z_spec + "+randJ", resid, rhs))
+            for J, form, tag in ((np.eye(n), "weak-b-only", ""), (Jr, mode, "+randJ")):
+                (resid, rhs), = _residuals(tableau, 5, phi, J, form).values()
+                rows.append(ConditionResidual(5, 0, form, z_spec + tag, resid, rhs))
     return OrderConditionReport(scheme=tableau.name, rows=tuple(rows))
 
 
 def first_failure(claims, report: OrderConditionReport) -> Optional[ConditionResidual]:
     """First row, in report order, that violates claims {condition: form}, or None.
 
-    A 'strong' claim needs every row of its condition to pass, a 'weak' one
-    only the weak-form rows. Rows with the random J are diagnostics only.
+    A claim reads its condition's rows of the modes CLAIM_MODES names: a
+    'strong' one the weak and strong rows, a 'weak' one the weak and
+    weak-b-only rows. Rows with the random J are diagnostics only.
     """
     for r in report.rows:
         form = claims.get(r.condition)
         if form is None or r.z_spec.endswith("+randJ"):
             continue
-        if (form == "strong" or r.mode == "weak") and not r.passed:
+        if r.mode in CLAIM_MODES[form] and not r.passed:
             return r
     return None

@@ -23,7 +23,7 @@ _POWER_ITERS, _POWER_TOL = 50, 1e-10  # _power_iteration's step cap and toleranc
 
 # Control grids of the three probes as run from the CLI and the scripts.
 DEFAULT_SMOOTHING_TIMES = tuple(2.0 ** -k for k in range(12, -1, -1))
-DEFAULT_RELBOUND_SIZES = (25, 50, 100, 200, 399)
+DEFAULT_RELBOUND_SIZES = (25, 50, 100, 200, ExperimentSpec.n_inner)
 DEFAULT_FOURIER_LENGTHS = tuple(2 ** k for k in range(6, 15))
 
 
@@ -144,17 +144,16 @@ def relative_boundedness_probe(gamma: float, n_list: Sequence[int],
     steps each, low where unsettled) in A's DST-I basis Q, with no n x n array. There B^T B =
     b^2 (Q L Q - 2 e_1 e_1^T - 2 e_n e_n^T), b = 1/(2h), L = diag(4 sin^2(k pi h)), so M = B A^-g
     has M^T M = Q G' Q, G' = b^2 (D^2 L - 2 u_1 u_1^T - 2 u_n u_n^T), u = D Q e, and A^-g B = -M^T
-    has |M M^T v| = sqrt(y^T G' y), y = Q M^T v. The 2 len(n_list) iterations (start v as in
-    operator_2norm) step in lockstep as the rows of one zero-padded block, O(n) a row a step."""
+    has |M M^T v| = sqrt(y^T G' y), y = Q M^T v. The 2 len(n_list) iterations (start v =
+    _unit_start(n)) step in lockstep as the rows of one zero-padded block, O(n) a row a step."""
     if not 0.0 < gamma <= 1.0:
         raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
     n_list = _check_sizes(n_list, "n_list")
     m, N = len(n_list), int(n_list[-1])
-    draw = np.random.default_rng(12345).standard_normal(N)  # _unit_start(n) = draw[:n], normalised
     S, U, V = np.zeros((m, N)), np.zeros((m, N, 2)), np.zeros((m, 2, N))
     Y = np.zeros((2, m, N))  # Y[0]: M^T M from Q v, Y[1]: M M^T from Q M^T v = D Q (-B v)
     for i, n in enumerate(n_list.astype(int)):
-        g, v = discretize.build_grid(n), draw[:n] / np.linalg.norm(draw[:n])
+        g, v = discretize.build_grid(n), _unit_start(n)
         d, b2 = discretize.exact_eigenvalues(g, nu) ** -gamma, (0.5 / g.h) ** 2  # D = diag(d)
         E = np.column_stack([np.zeros((n, 2)), v, -discretize.apply_B(g, v)])
         E[[0, -1], [0, 1]] = 1.0

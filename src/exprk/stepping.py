@@ -16,9 +16,11 @@ read up, keyed by top phi order and base bits: tau/2 needs no Horner pass or Pad
 solve runs its N matvecs unchecked and tests finiteness once at the end: a
 non-finite entry stays non-finite through every later matvec. Only a failed
 run is replayed with a check per step, so InstabilityError names the first
-non-finite step. The RK4 reference forms P = p(tau_ref (B - A)) and its first
-squares over their band only, squares while a square costs fewer matvecs than
-it saves, and applies the rest of P^N to u0 as matvecs.
+non-finite step. The RK4 reference first checks tau_ref against
+_gershgorin_radius (a closed form on a build_operators pair: a rejected tau_ref
+forms no n x n array), then forms P = p(tau_ref (B - A)) and its first squares
+over their band only, squares while a square costs fewer matvecs than it saves,
+and applies the rest of P^N to u0 as matvecs.
 """
 
 from __future__ import annotations
@@ -145,18 +147,15 @@ def _band_matmul(X, wx, Y, wy, out):
 
 
 def solve_reference_rk4(ops: OperatorPair, u0, T: float, tau_ref: float):
-    """Classical RK4 on u' = (B - A) u; the reference solver.
-
-    Rejects step sizes outside the explicit stability bound
-    tau_ref <= 2.7 / rho, with rho the Gershgorin bound on rho(B - A).
-    """
+    """Classical RK4 on u' = (B - A) u, the reference solver; ParameterError unless
+    tau_ref <= 2.7 / _gershgorin_radius(ops), checked before B - A is formed."""
     N = check_divides(T, tau_ref, "tau_ref")
-    L = ops.B - ops.A
-    rho = spectral_radius_estimate(L)
+    rho = _gershgorin_radius(ops)
     if rho > 0 and tau_ref > RK4_STABILITY_LIMIT / rho:
         raise ParameterError(
             f"tau_ref={tau_ref:g} exceeds RK4 stability bound "
             f"{RK4_STABILITY_LIMIT / rho:g} (spectral radius <= {rho:g})")
+    L = ops.B - ops.A
     n, (i, j) = L.shape[0], np.nonzero(L)
     w = int(np.abs(i - j).max(initial=0))  # L's bandwidth: max |i - j| over its nonzeros
     M = np.multiply(L, tau_ref, out=L)  # of bandwidth w; L is not read again

@@ -160,15 +160,12 @@ def third_order() -> Tableau:
     )
 
 
-BUILTIN_SCHEMES = ("euler", "rk2", "rk3paper")
+# The built-in schemes by name, each a factory of the rk2 family's free node c.
+BUILTIN_SCHEMES = {"euler": lambda c: exponential_euler(), "rk2": second_order,
+                   "rk3paper": lambda c: third_order()}
 
 
 def resolve_scheme(name: str, c: float = 0.5) -> Tableau:
-    if name == "euler":
-        return exponential_euler()
-    if name == "rk2":
-        return second_order(c)
-    if name == "rk3paper":
-        return third_order()
-    raise ParameterError(
-        f"unknown scheme {name!r}; built-ins are {', '.join(BUILTIN_SCHEMES)}")
+    if name not in BUILTIN_SCHEMES:
+        raise ParameterError(f"unknown scheme {name!r}; built-ins are {', '.join(BUILTIN_SCHEMES)}")
+    return BUILTIN_SCHEMES[name](c)

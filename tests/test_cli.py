@@ -221,6 +221,21 @@ def test_probe_fourier_smooth_data(capsys):
     assert code == 0 and "verdict=bounded" in stdout
 
 
+def test_probe_fourier_norm_choices_are_the_study_norms(capsys, monkeypatch):
+    norms = []
+
+    def spy(rule, beta, N_list, norm):
+        norms.append(norm)
+        return probes.ProbeReport(np.ones(1), np.ones(1), 1.0, True, "spy")
+    monkeypatch.setattr(probes, "fourier_beta_probe", spy)
+    for nm in convergence.NORMS:
+        assert run(["probe", "fourier", "--norm", nm], capsys)[0] == 0
+    assert norms == list(convergence.NORMS)
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "fourier", "--norm", "l3"])
+    assert exc.value.code == 2 and "invalid choice: 'l3'" in capsys.readouterr().err
+
+
 def test_probe_bad_gamma_exit_2(capsys):
     code, _, _ = run(["probe", "relbound", "--gamma", "1.5"], capsys)
     assert code == 2
@@ -397,6 +412,23 @@ def test_tableau_file_drives_cli(tmp_path, capsys):
     code, _, _ = run(["convergence", "--tableau", str(path),
                       "--out", str(out)] + FAST, capsys)
     assert code == 0 and "scheme=rk3-from-file" in out.read_text()
+
+
+# RK3_FILE with E(Z) = phi_1(Z) - 2 phi_2(Z), zero at Z = 0, moved from a[3][1] to a[3][2]:
+# conditions 1-4 hold strongly, condition 5 only at Z = 0, not in its weak-b-only form
+WEAK5_MOVE = {"a[3][1]": " + scale:1 phi:1 w:-1 + scale:1 phi:2 w:2",
+              "a[3][2]": " + scale:1 phi:1 w:1 + scale:1 phi:2 w:-2"}
+WEAK5_FILE = "".join(line + WEAK5_MOVE.get(line[:7], "") + "\n"
+                     for line in RK3_FILE.splitlines())
+
+
+def test_check_order_fails_a_tableau_that_breaks_weak_condition_5(tmp_path, capsys):
+    path = tmp_path / "weak5.tab"
+    path.write_text(WEAK5_FILE)
+    code, stdout, _ = run(["check-order", "--tableau", str(path), "--require-order", "3"],
+                          capsys)
+    assert code == 1
+    assert stdout.endswith("condition 5 fails in weak-b-only form (residual 1.190e-02)\n")
 
 
 def test_parse_tableau_reports_line_and_column():

@@ -1,5 +1,7 @@
 """Stiff order-condition residuals for the built-in schemes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from exprk.matfuncs import phi_matrix
 from exprk.orderconditions import (PASS_TOLERANCE, ConditionResidual, check_condition,
                                    first_failure, full_report, random_stable_matrix)
 from exprk.tableau_io import parse_tableau
-from exprk.tableaus import PhiCombo, exponential_euler, second_order, third_order
+from exprk.tableaus import (ORDER_CLAIMS, PhiCombo, PhiTerm, exponential_euler, second_order,
+                            third_order)
 
 
 def make_Z(n=10, tau=0.1, nu=0.2):
@@ -193,6 +196,8 @@ def test_full_report_rows_equal_per_condition_residuals(tab, seed):
             for stage, (resid, rhs) in check_condition(tab, no, Z, mode=mode).items():
                 want.append(ConditionResidual(no, stage, mode, z_spec, resid, rhs))
         if mode == "strong":
+            (resid, rhs), = check_condition(tab, 5, Z, mode="weak-b-only").values()
+            want.append(ConditionResidual(5, 0, "weak-b-only", z_spec, resid, rhs))
             Jr = np.random.default_rng(seed + 1).standard_normal(Z.shape)
             (resid, rhs), = check_condition(tab, 5, Z, J=Jr, mode=mode).values()
             want.append(ConditionResidual(5, 0, mode, z_spec + "+randJ", resid, rhs))
@@ -236,8 +241,47 @@ def test_random_stable_matrix_properties():
 
 def test_claims_satisfied_all_builtins():
     for tab in (exponential_euler(), second_order(0.5), third_order()):
-        assert first_failure(tab.claims, full_report(tab)) is None
+        for seed in (0, 1, 2, 3):
+            report = full_report(tab, seed)
+            assert first_failure(tab.claims, report) is None
+            assert [r.z_spec for r in report.rows if r.mode == "weak-b-only"] == \
+                ["random6", "testbed10"]
 
 
 def test_pass_tolerance_is_tight():
     assert PASS_TOLERANCE == 1e-9
+
+
+def weak5():
+    """rk3paper with E(Z) = phi_1(Z) - 2 phi_2(Z), which vanishes at Z = 0, moved from
+    a_31 to a_32: conditions 1-4 still hold strongly, and condition 5 holds at Z = 0 only."""
+    tab, a = third_order(), dict(third_order().a)
+
+    def plus(key, *terms):
+        a[key] = PhiCombo(a[key].terms + tuple(PhiTerm(*t) for t in terms))
+    plus((3, 1), (1.0, 1, -1.0), (1.0, 2, 2.0))
+    plus((3, 2), (1.0, 1, 1.0), (1.0, 2, -2.0))
+    return dataclasses.replace(tab, name="weak5", a=a)
+
+
+def test_weak_claim_reads_the_weak_b_only_rows():
+    report = full_report(weak5())
+    zero_rows = [r for r in report.rows if r.z_spec == "zero"]
+    assert all(r.passed for r in zero_rows)  # the classical conditions hold
+    strong = {no: "strong" for no in (1, 2, 3, 4)}
+    assert first_failure(strong, report) is None
+    row = first_failure(ORDER_CLAIMS[3], report)
+    assert (row.condition, row.mode, row.z_spec) == (5, "weak-b-only", "random6")
+    assert row.residual == pytest.approx(1.19e-2, rel=1e-2)
+    (resid, _), = check_condition(weak5(), 5, make_Z(), mode="weak-b-only").values()
+    assert resid == pytest.approx(9.55e-3, rel=1e-2)
+
+
+def test_table_columns_line_up():
+    report = full_report(third_order())
+    header, *lines = report.to_table().splitlines()
+    at = header.index("residual") + len("residual") - 12  # the right-aligned 12-wide field
+    assert len(lines) == len(report.rows) and len({len(line) for line in lines + [header]}) == 1
+    for line, r in zip(lines, report.rows):
+        assert line[at - 2:at] == "  " and line[at:at + 12].strip() == f"{r.residual:.3e}", line
+        assert line[at + 14:].strip() == ("pass" if r.passed else "fail"), line

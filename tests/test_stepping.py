@@ -15,8 +15,8 @@ from exprk.matfuncs import expm, phi_combination, phi_values, sym_eigen
 from exprk.stepping import (Stepper, default_reference_step, solve,
                             solve_reference_rk4, spectral_radius_estimate)
 from exprk.tableau_io import parse_tableau
-from exprk.tableaus import (PhiCombo, PhiTerm, Tableau, exponential_euler, resolve_scheme,
-                            second_order, third_order)
+from exprk.tableaus import (BUILTIN_SCHEMES, PhiCombo, PhiTerm, Tableau, exponential_euler,
+                            resolve_scheme, second_order, third_order)
 
 
 def scalar_ops(a, b):
@@ -60,7 +60,9 @@ def test_resolve_scheme_names():
     assert resolve_scheme("euler").s == 1
     assert resolve_scheme("rk2", 0.3).c[1] == 0.3
     assert resolve_scheme("rk3paper").s == 3
-    with pytest.raises(ParameterError):
+    assert [resolve_scheme(name).name for name in BUILTIN_SCHEMES] == ["euler", "rk2(c=0.5)",
+                                                                      "rk3paper"]
+    with pytest.raises(ParameterError, match="built-ins are euler, rk2, rk3paper$"):
         resolve_scheme("etd3rk")
 
 
@@ -582,6 +584,30 @@ def test_rk4_stability_guard():
     # rho(A) ~ 4 nu / h^2 = 8000, so tau_ref = 0.01 is far outside the bound
     with pytest.raises(ParameterError):
         solve_reference_rk4(ops, initial_data(g), 1.0, 0.01)
+
+
+def test_rk4_guard_rejects_before_forming_the_testbed_matrices(monkeypatch):
+    # n = 2000: a dense A, B and B - A would take 96 MB; the guard reads the closed form
+    def never(L):
+        raise AssertionError("the guard took dense row sums")
+    monkeypatch.setattr(stepping, "spectral_radius_estimate", never)
+    g = build_grid(2000)
+    ops = build_operators(g, 0.2)
+    with pytest.raises(ParameterError, match="exceeds RK4 stability bound"):
+        solve_reference_rk4(ops, initial_data(g), 1.0, 2.0 ** -20)
+    assert "A" not in vars(ops) and "B" not in vars(ops)
+
+
+@pytest.mark.parametrize("pair", ["grid", "split"])
+def test_rk4_guard_bound_is_the_pairs_gershgorin_rule(pair):
+    ops = build_operators(build_grid(99), 0.2) if pair == "grid" else split_pair()
+    rho = stepping._gershgorin_radius(ops)
+    tau_ref = 2.0 ** -round(math.log2(rho / 2.7) - 2)  # about four times the bound
+    want = (f"tau_ref={tau_ref:g} exceeds RK4 stability bound {2.7 / rho:g} "
+            f"(spectral radius <= {rho:g})")
+    with pytest.raises(ParameterError) as exc:
+        solve_reference_rk4(ops, np.ones(len(ops.A)), 1.0, tau_ref)
+    assert str(exc.value) == want
 
 
 def test_rk4_reference_reports_non_finite_result():
