@@ -200,7 +200,7 @@ def cmd_solve(args, spec) -> int:
     result = stepping.solve(tableau, ops, u0, spec.T, args.tau)
     norms = discretize.discrete_norms(grid, result.final)
     print(f"scheme={tableau.name} steps={result.steps} tau={result.tau:g}")
-    print(f"l1={norms.l1:.12g} l2={norms.l2:.12g} linf={norms.linf:.12g}")
+    print(" ".join(f"{nm}={getattr(norms, nm):.12g}" for nm in convergence.NORMS))
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from . import discretize, stepping
 from .errors import InstabilityError, InsufficientDataError, ParameterError
 from .tableaus import Tableau, resolve_scheme
 
-NORMS = ("l1", "l2", "linf")
+NORMS = {"l1": 1, "l2": 2, "linf": math.inf}  # each error norm's name: its order p
 FLAG_OK = "ok"
 FLAG_UNSTABLE = "unstable"
 FLAG_IDENTICAL = "identical"  # error exactly zero against the reference
@@ -63,7 +63,7 @@ class ConvergenceRow:
     flag: str = FLAG_OK
 
     def err(self, norm: str) -> float:
-        return {"l1": self.err_l1, "l2": self.err_l2, "linf": self.err_linf}[norm]
+        return getattr(self, "err_" + norm)
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,9 @@ def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:
 
 def render_csv(report: ConvergenceReport) -> str:
     out = io.StringIO()
-    out.write("tau,err_l1,err_l2,err_linf,flag\n")
+    out.write(",".join(("tau", *("err_" + nm for nm in NORMS), "flag")) + "\n")
     for r in report.rows:
-        out.write(f"{r.tau:.17g},{r.err_l1:.17g},{r.err_l2:.17g},"
-                  f"{r.err_linf:.17g},{r.flag}\n")
+        out.write(",".join(f"{x:.17g}" for x in (r.tau, *map(r.err, NORMS))) + f",{r.flag}\n")
     fitted = " ".join(f"fitted_order_{nm}={report.fitted_order[nm]:.17g}"
                       for nm in NORMS)
     out.write(f"# {fitted}\n")

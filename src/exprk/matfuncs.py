@@ -50,8 +50,6 @@ def _as_square(M, name="matrix"):
 
 def is_symmetric(M):
     scale = np.abs(M).max()
-    if scale == 0.0:
-        return True
     D = M - M.T  # |D| is taken in place: a second n x n temporary page-faults
     return np.abs(D, out=D).max() <= _SYMMETRY_RTOL * scale
 

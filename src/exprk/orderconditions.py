@@ -23,7 +23,7 @@ import numpy as np
 from . import discretize
 from .convergence import ExperimentSpec
 from .errors import DimensionError, ParameterError
-from .matfuncs import phi_matrices
+from .matfuncs import _as_square, phi_matrices
 from .tableaus import Tableau
 
 MODES = ("strong", "weak", "weak-b-only")
@@ -43,17 +43,14 @@ def check_condition(tableau: Tableau, no: int, Z=None, J=None,
 
     Returns {stage: (residual, rhs_inf_norm)}; condition 3 yields one
     entry per stage i >= 2, the others a single entry keyed 0. Z defaults
-    to the 1x1 zero matrix, J to the identity; weak mode reads only Z's size.
+    to the 1x1 zero matrix, J to the identity; weak mode reads only the size of
+    Z, which must still be square and finite.
     """
     if no not in (1, 2, 3, 4, 5):
         raise ParameterError(f"condition number must be 1..5, got {no}")
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    if Z is None:
-        Z = np.zeros((1, 1))
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise DimensionError(f"Z must be square, got shape {Z.shape}")
+    Z = _as_square(np.zeros((1, 1)) if Z is None else Z, "Z")
     n = Z.shape[0]
     J = np.eye(n) if J is None else np.asarray(J, dtype=float)
     if J.shape != (n, n):
@@ -148,7 +145,7 @@ def random_stable_matrix(n: int, seed: int):
     return Z
 
 
-def full_report(tableau: Tableau, z_seed: int = 0) -> OrderConditionReport:
+def full_report(tableau: Tableau, z_seed: int) -> OrderConditionReport:
     """All five conditions on three Z specifications.
 
     (a) the zero matrix (weak form), (b) a seeded random stable 6x6

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import discretize
-from .convergence import ExperimentSpec, write_csv
+from .convergence import NORMS, ExperimentSpec, write_csv
 from .errors import ContractError, DomainError, ParameterError
 from .matfuncs import is_symmetric
 
@@ -184,12 +184,12 @@ def worst_case_coefficients(k):
 
 
 def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
-                       norm: str = "linf", x_grid: int = 2048) -> ProbeReport:
+                       norm: str, x_grid: int = 2048) -> ProbeReport:
     """Partial sums of sum_k f_k (k pi)^(2b-1) (cos(k pi x) + (1-(-1)^k) x - 1).
 
     coeffs maps an integer array of indices k to the coefficients f_k, and is
-    called once, on k = 1..max(N_list). The requested discrete norm of the
-    partial sum is reported for each truncation length N. On the grid
+    called once, on k = 1..max(N_list). Each truncation length N reports the
+    partial sum's discrete norm named by norm, a key of NORMS. On the grid
     x_j = j/(M-1), M = x_grid, cos(k pi x_j) has period L = 2(M-1) in k: the
     coefficients are folded by k mod L and each N takes one real FFT of length
     L (Cooley & Tukey 1965), in memory O(M + max(N_list)). The report's
@@ -197,9 +197,9 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
     not a proof: (beta=0.49, linf, 1/k) reads unbounded although its series is
     absolutely summable.
     """
-    p = {"l1": 1, "l2": 2, "linf": np.inf}.get(norm)
+    p = NORMS.get(norm)
     if p is None:
-        raise ParameterError(f"norm must be l1, l2 or linf, got {norm!r}")
+        raise ParameterError(f"norm must be one of {', '.join(NORMS)}, got {norm!r}")
     if not np.isfinite(beta):
         raise ParameterError(f"beta must be finite, got {beta}")
     if x_grid < 1000:

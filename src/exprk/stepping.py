@@ -190,7 +190,7 @@ def _gershgorin_radius(ops: OperatorPair) -> float:
     return 2.0 * a + (a + b) + (abs(a - b) if ops.grid.n_inner > 2 else 0.0)
 
 
-def default_reference_step(ops: OperatorPair, T: float = 1.0) -> float:
+def default_reference_step(ops: OperatorPair, T: float) -> float:
     """Largest tau_ref = T/N with tau_ref <= min(2^-16, 0.9 * 2.7 / _gershgorin_radius(ops))."""
     rho = _gershgorin_radius(ops)
     bound = 2.0 ** -16

@@ -1,8 +1,8 @@
 """Plain-text input: the one reader of config and tableau files, and tableaus.
 
-Both file kinds share one grammar: one `target = value` assignment per line,
-split at the first '='; '#' starts a comment and blank lines are skipped.
-Errors name `file:line[:column]` (a whole-file check names the file alone).
+Both file kinds share one grammar: one `target = value` line per target, split
+at the first '='; '#' starts a comment and blank lines are skipped. Errors name
+`file:line[:column]` (a whole-file check names the file alone).
 A tableau file:
 
     name = my-method            # optional label
@@ -43,7 +43,9 @@ def read_text(path, what: str) -> str:
 
 
 def assignments(text: str, source):
-    """(line_no, value column counted from 1, target, value) of each assignment line."""
+    """(line_no, value column counted from 1, target, value) of each assignment line;
+    LocatedError at a target an earlier line set, leading zeros dropped (a[2][01] is a[2][1])."""
+    first = {}  # target without its numbers' leading zeros: the line that set it
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -52,13 +54,16 @@ def assignments(text: str, source):
             raise LocatedError(source, line_no, None,
                                f"expected '<target> = <value>', got {line!r}")
         lhs, rhs = (part.strip() for part in line.split("=", 1))
+        at = first.setdefault(re.sub(r"(?<![0-9])0+(?=[0-9])", "", lhs), line_no)
+        if at != line_no:
+            raise LocatedError(source, line_no, None, f"{lhs!r} repeats the target of line {at}")
         after = raw[raw.index("=") + 1:]
         yield line_no, len(raw) - len(after.lstrip()) + 1, lhs, rhs
 
 
 _TERM_RE = re.compile(r"^scale:(?P<scale>\S+)\s+phi:(?P<phi>\S+)\s+w:(?P<w>\S+)$")
-_A_RE = re.compile(r"^a\[(\d+)\]\[(\d+)\]$")
-_B_RE = re.compile(r"^b\[(\d+)\]$")
+_A_RE = re.compile(r"^a\[([0-9]+)\]\[([0-9]+)\]$")
+_B_RE = re.compile(r"^b\[([0-9]+)\]$")
 
 
 def _parse_combo(rhs: str, source, line_no: int, column: int) -> PhiCombo:

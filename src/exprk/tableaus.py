@@ -117,7 +117,7 @@ def exponential_euler() -> Tableau:
     )
 
 
-def second_order(c: float = 0.5) -> Tableau:
+def second_order(c: float) -> Tableau:
     """One-parameter family of two-stage second-order schemes.
 
     b_2 = (1/c) phi_2, b_1 = phi_1 - (1/c) phi_2, a_21 = c phi_1(-c tau A).
@@ -165,7 +165,7 @@ BUILTIN_SCHEMES = {"euler": lambda c: exponential_euler(), "rk2": second_order,
                    "rk3paper": lambda c: third_order()}
 
 
-def resolve_scheme(name: str, c: float = 0.5) -> Tableau:
+def resolve_scheme(name: str, c: float) -> Tableau:
     if name not in BUILTIN_SCHEMES:
         raise ParameterError(f"unknown scheme {name!r}; built-ins are {', '.join(BUILTIN_SCHEMES)}")
     return BUILTIN_SCHEMES[name](c)

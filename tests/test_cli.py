@@ -1,13 +1,14 @@
 """CLI behavior: subcommands, config merging, exit codes, diagnostics."""
 
 import dataclasses
+import inspect
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from exprk import cli, convergence, probes
+from exprk import cli, convergence, orderconditions, probes, stepping, tableaus
 from exprk.cli import main, read_config
 from exprk.convergence import ConvergenceRow, ExperimentSpec
 from exprk.tableau_io import LocatedError, parse_tableau
@@ -447,7 +448,9 @@ def test_parse_tableau_missing_nodes():
     ("c = 0,0.5\na[2][1] = scale:0.5 phi:one w:1\n", ":2:11: "),
     ("b[1] = scale:1 phi:1 w:1\n", ": missing node line"),
     ("c = 0\nd[1] = scale:1 phi:1 w:1\n", ":2: unknown target 'd[1]'"),
-], ids=["bad-term", "no-nodes", "unknown-target"])
+    # an index in other digits once parsed by int(); it is now an unknown target
+    ("c = 0\nb[\u0661] = scale:1 phi:1 w:1\n", ":2: unknown target 'b[\u0661]'"),
+], ids=["bad-term", "no-nodes", "unknown-target", "non-ascii-index"])
 def test_tableau_file_error_names_the_file(tmp_path, capsys, text, where):
     path = tmp_path / "bad.tab"
     path.write_text(text)
@@ -499,6 +502,27 @@ def test_missing_tableau_file_exit_2(tmp_path, capsys):
     code, _, stderr = run(["solve", "--tableau", str(missing), "--n", "25",
                            "--tau", "0.25"], capsys)
     assert code == 2 and str(missing) in stderr
+
+
+@pytest.mark.parametrize("text, first, again", [
+    ("c = 0,0.5\na[2][1] = scale:0.5 phi:1 w:0.5\nb[1] = scale:1 phi:1 w:1\n"
+     "a[2][1] = scale:0.5 phi:1 w:0.25\n", 2, 4),
+    ("c = 0,0.5\na[2][1] = scale:0.5 phi:1 w:0.5\na[02][01] = scale:0.5 phi:1 w:0.5\n", 2, 3),
+    ("c = 0\nb[1] = scale:1 phi:1 w:1\n\n# again\nb[1] = scale:1 phi:1 w:0.5\n", 2, 5),
+    ("name = one\nc = 0\nname = two\nb[1] = scale:1 phi:1 w:1\n", 1, 3),
+    ("c = 0\nc = 0,0.5\nb[1] = scale:1 phi:1 w:1\n", 1, 2),
+], ids=["a", "a-leading-zeros", "b", "name", "c"])
+def test_tableau_target_set_twice_exit_2(tmp_path, capsys, text, first, again):
+    """A repeated target was last-wins: the file passed check-order and exited 0."""
+    with pytest.raises(LocatedError, match=f"repeats the target of line {first}$") as exc:
+        parse_tableau(text)
+    assert exc.value.line_no == again
+    path = tmp_path / "twice.tab"
+    path.write_text(text)
+    for command in (["check-order"], ["solve", "--n", "25", "--tau", "0.25"]):
+        code, stdout, stderr = run([*command, "--tableau", str(path)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: {path}:{again}: ") and f"of line {first}\n" in stderr
 
 
 # ---------------------------------------------------------------- config
@@ -581,10 +605,42 @@ def test_config_file_value_is_cast(tmp_path, capsys):
     assert "scheme=rk2(c=0.75) n=25" in text and len(parse_csv(text)) == 4
 
 
-@pytest.mark.parametrize("line, key", [("nu = two", "nu"), ("norms = l2", "norms")],
-                         ids=["bad-value", "removed-key"])
+@pytest.mark.parametrize("line, key", [("nu = two", "nu"), ("norms = l2", "norms"),
+                                       ("n" + "1" * 5000 + " = 3", "n" + "1" * 5000)],
+                         ids=["bad-value", "removed-key", "long-key"])
 def test_config_bad_line_exit_2_names_key_and_file(tmp_path, capsys, line, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"n = 25\n{line}\n")
     code, _, stderr = run(["convergence", "--config", str(cfg)], capsys)
     assert code == 2 and repr(key) in stderr and f"{cfg}:2" in stderr
+
+
+@pytest.mark.parametrize("key", sorted(KEY_VALUES))
+def test_config_key_set_twice_exit_2(tmp_path, capsys, monkeypatch, key):
+    """A repeated key was last-wins: n = 50 then n = 60 ran at n = 60 with no warning."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scheme.tab").write_text(RK3_FILE)
+    cfg = tmp_path / "run.cfg"
+    value = KEY_VALUES[key]
+    cfg.write_text(f"{key} = {value}\nscheme = euler\n# again\n{key} = {value}\n"
+                   if key != "scheme" else f"scheme = rk2\nn = 25\n# again\nscheme = euler\n")
+    with pytest.raises(LocatedError, match=f"^{re.escape(str(cfg))}:4: {key!r} repeats "
+                       "the target of line 1$"):
+        read_config(cfg)
+    code, stdout, stderr = run(["convergence"] + FAST + ["--config", str(cfg)], capsys)
+    assert code == 2 and stdout == "" and stderr.startswith(f"error: {cfg}:4: ")
+    assert not any(tmp_path.glob("*.csv"))
+
+
+# Parameters whose value the CLI or ExperimentSpec owns: the library takes it explicitly.
+SETTING_PARAMETERS = [(probes.fourier_beta_probe, "norm"),
+                      (orderconditions.full_report, "z_seed"),
+                      (stepping.default_reference_step, "T"),
+                      (tableaus.second_order, "c"), (tableaus.resolve_scheme, "c")]
+
+
+@pytest.mark.parametrize("function, name", SETTING_PARAMETERS,
+                         ids=[f"{f.__name__}-{p}" for f, p in SETTING_PARAMETERS])
+def test_library_takes_the_cli_settings_without_defaults(function, name):
+    parameter = inspect.signature(function).parameters[name]
+    assert parameter.default is inspect.Parameter.empty

@@ -1,12 +1,13 @@
 """Convergence harness: order fitting, experiment runs, CSV round-trips."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from exprk import discretize, stepping
-from exprk.convergence import (FLAG_IDENTICAL, FLAG_OK, FLAG_UNSTABLE,
+from exprk.convergence import (FLAG_IDENTICAL, FLAG_OK, FLAG_UNSTABLE, NORMS,
                                ConvergenceRow, ExperimentSpec, fit_order,
                                render_csv, run_experiment, write_csv)
 from exprk.errors import InsufficientDataError, ParameterError
@@ -154,6 +155,22 @@ def test_csv_format_and_roundtrip(tmp_path):
     write_csv(render_csv(rep), path)
     raw = path.read_bytes()
     assert raw.decode() == text and b"\r" not in raw
+
+
+def test_csv_header_reads_norms_and_matches_committed_results():
+    rep = run_experiment(ExperimentSpec(scheme="euler", **SMALL))
+    header = render_csv(rep).splitlines()[0]
+    assert header == ",".join(["tau"] + ["err_" + nm for nm in NORMS] + ["flag"])
+    committed = sorted((pathlib.Path(__file__).resolve().parent.parent / "results")
+                       .glob("convergence_*.csv"))
+    assert len(committed) == 3
+    for path in committed:
+        assert path.read_text().splitlines()[0] == header, path.name
+
+
+def test_row_err_reads_the_field_of_each_norm():
+    row = ConvergenceRow(0.5, 1.0, 2.0, 3.0)
+    assert [row.err(nm) for nm in NORMS] == [row.err_l1, row.err_l2, row.err_linf]
 
 
 def test_csv_preserves_17_digits():

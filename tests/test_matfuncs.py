@@ -436,11 +436,12 @@ def test_sym_eigen_rejects_asymmetric():
 
 @pytest.mark.parametrize("M, want", [
     (np.zeros((3, 3)), True),
+    (np.full((3, 3), -0.0), True),
     (np.array([[2.0, -1.0], [-1.0, 2.0]]), True),
     (np.array([[1.0, 1.0 + 1e-13], [1.0, 1.0]]), True),
     (np.array([[1.0, 1.0 + 1e-11], [1.0, 1.0]]), False),
     (np.array([[np.nan, 0.0], [0.0, 1.0]]), False),
-], ids=["zero", "exact", "within-1e-12", "beyond-1e-12", "nan"])
+], ids=["zero", "negative-zero", "exact", "within-1e-12", "beyond-1e-12", "nan"])
 def test_is_symmetric_decides_and_leaves_m_alone(M, want):
     before = M.copy()
     assert is_symmetric(M) == want

@@ -7,7 +7,7 @@ import pytest
 
 from exprk import matfuncs, orderconditions
 from exprk.discretize import build_grid, build_operators
-from exprk.errors import DimensionError, ParameterError
+from exprk.errors import ContractError, DimensionError, ParameterError
 from exprk.matfuncs import phi_matrix
 from exprk.orderconditions import (PASS_TOLERANCE, ConditionResidual, check_condition,
                                    first_failure, full_report, random_stable_matrix)
@@ -35,6 +35,24 @@ def test_rejects_bad_mode():
 def test_rejects_nonsquare_z():
     with pytest.raises(DimensionError):
         check_condition(exponential_euler(), 1, Z=np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong", "weak-b-only"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_z_in_every_mode(mode, bad):
+    """Weak mode reads only Z's size, but a non-finite Z is still rejected."""
+    Z = np.zeros((3, 3))
+    Z[1, 2] = bad
+    with pytest.raises(ContractError, match="^Z contains non-finite entries$"):
+        check_condition(third_order(), 5, Z=Z, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+def test_nonsquare_z_message(mode):
+    with pytest.raises(DimensionError, match=r"^Z must be square, got shape \(2, 3\)$"):
+        check_condition(exponential_euler(), 1, Z=np.zeros((2, 3)), mode=mode)
+    with pytest.raises(DimensionError, match=r"^Z must be square, got shape \(4,\)$"):
+        check_condition(exponential_euler(), 1, Z=np.zeros(4), mode=mode)
 
 
 def test_rejects_mismatched_j():
@@ -211,7 +229,7 @@ def test_full_report_runs_no_pade_chain(tab, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("full_report ran a phi_0 (Pade) chain")
     monkeypatch.setattr(matfuncs, "_expm_levels", never)
-    assert first_failure(tab.claims, full_report(tab)) is None
+    assert first_failure(tab.claims, full_report(tab, 0)) is None
 
 
 @pytest.mark.parametrize("tab", [exponential_euler(), second_order(0.5), third_order()],
@@ -221,11 +239,11 @@ def test_full_report_decomposes_nothing(tab, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("full_report reached eigh")
     monkeypatch.setattr(np.linalg, "eigh", never)
-    assert first_failure(tab.claims, full_report(tab)) is None
+    assert first_failure(tab.claims, full_report(tab, 0)) is None
 
 
 def test_full_report_covers_specs_and_randj():
-    rep = full_report(third_order())
+    rep = full_report(third_order(), 0)
     specs = {r.z_spec for r in rep.rows}
     assert specs == {"zero", "random6", "testbed10",
                      "random6+randJ", "testbed10+randJ"}
@@ -265,7 +283,7 @@ def weak5():
 
 
 def test_weak_claim_reads_the_weak_b_only_rows():
-    report = full_report(weak5())
+    report = full_report(weak5(), 0)
     zero_rows = [r for r in report.rows if r.z_spec == "zero"]
     assert all(r.passed for r in zero_rows)  # the classical conditions hold
     strong = {no: "strong" for no in (1, 2, 3, 4)}
@@ -278,7 +296,7 @@ def test_weak_claim_reads_the_weak_b_only_rows():
 
 
 def test_table_columns_line_up():
-    report = full_report(third_order())
+    report = full_report(third_order(), 0)
     header, *lines = report.to_table().splitlines()
     at = header.index("residual") + len("residual") - 12  # the right-aligned 12-wide field
     assert len(lines) == len(report.rows) and len({len(line) for line in lines + [header]}) == 1

@@ -1,5 +1,6 @@
 """Smoothing, relative-boundedness and Fourier-sum probes."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exprk import discretize, matfuncs, probes
+from exprk.convergence import NORMS
 from exprk.discretize import OperatorPair, build_grid, build_operators
 from exprk.errors import ContractError, DomainError, ParameterError
 from exprk.matfuncs import frac_power, sym_eigen
@@ -427,7 +429,7 @@ def test_worst_case_coefficients():
 
 def test_fourier_probe_zero_coefficients():
     rep = fourier_beta_probe(lambda k: np.zeros_like(k, dtype=float), 0.4,
-                             [4, 8, 16])
+                             [4, 8, 16], "linf")
     assert rep.max_value == 0.0 and rep.bounded
 
 
@@ -502,7 +504,7 @@ def test_fourier_probe_validates_N_list_before_summing():
         raise AssertionError("coefficients evaluated before N_list was checked")
     for N_list in ([0, 8], [-4], [16, 8], [8, 8], []):
         with pytest.raises(ParameterError, match="N_list"):
-            fourier_beta_probe(never, 0.4, N_list)
+            fourier_beta_probe(never, 0.4, N_list, "linf")
 
 
 def test_probes_reject_sizes_that_are_not_integers():
@@ -510,14 +512,15 @@ def test_probes_reject_sizes_that_are_not_integers():
     with pytest.raises(ParameterError, match="n_list must hold integers"):
         relative_boundedness_probe(0.5, [10.7, 20.2])
     with pytest.raises(ParameterError, match="N_list must hold integers"):
-        fourier_beta_probe(sine_coefficients_initial_data, 0.2, [64.9, 128.5])
+        fourier_beta_probe(sine_coefficients_initial_data, 0.2, [64.9, 128.5], "linf")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("probe, name, grid", [
     (lambda grid: smoothing_probe(make_ops(20), 0.5, grid), "t_grid", [0.1]),
     (lambda grid: relative_boundedness_probe(0.5, grid), "n_list", [10]),
-    (lambda grid: fourier_beta_probe(sine_coefficients_initial_data, 0.2, grid), "N_list", [10]),
+    (lambda grid: fourier_beta_probe(sine_coefficients_initial_data, 0.2, grid, "linf"),
+     "N_list", [10]),
 ], ids=["smoothing", "relbound", "fourier"])
 def test_probes_reject_non_finite_grid_entries(probe, name, grid, bad):
     """NaN used to read as max=nan, unbounded; inf as that or an OverflowError."""
@@ -530,7 +533,7 @@ def test_probes_reject_non_finite_grid_entries(probe, name, grid, bad):
     (lambda: relative_boundedness_probe(0.5, [3], nu=1e-300), "relbound gamma=0.5", "3"),
     (lambda: smoothing_probe(make_ops(399), 200.0, DEFAULT_SMOOTHING_TIMES),
      "smoothing gamma=200", f"{DEFAULT_SMOOTHING_TIMES[1]:g}"),
-    (lambda: fourier_beta_probe(worst_case_coefficients, 400.0, [64, 128]),
+    (lambda: fourier_beta_probe(worst_case_coefficients, 400.0, [64, 128], "linf"),
      "fourier beta=400 norm=linf", "64"),
 ], ids=["relbound-nu-1e-300", "smoothing-gamma-200", "fourier-beta-400"])
 def test_probes_give_no_verdict_from_non_finite_values(probe, label, first):
@@ -544,8 +547,17 @@ def test_probes_take_integral_float_sizes():
     co = sine_coefficients_initial_data
     assert np.array_equal(relative_boundedness_probe(0.5, [10.0, 20.0]).values,
                           relative_boundedness_probe(0.5, [10, 20]).values)
-    assert np.array_equal(fourier_beta_probe(co, 0.2, [64.0, 128.0]).values,
-                          fourier_beta_probe(co, 0.2, [64, 128]).values)
+    assert np.array_equal(fourier_beta_probe(co, 0.2, [64.0, 128.0], "linf").values,
+                          fourier_beta_probe(co, 0.2, [64, 128], "linf").values)
+
+
+@pytest.mark.parametrize("norm", ["sup", "l3", "L2", ""])
+def test_fourier_probe_unknown_norm_lists_the_study_norms(norm):
+    def never(k):
+        raise AssertionError("coefficients evaluated for an unknown norm")
+    want = f"norm must be one of {', '.join(NORMS)}, got {norm!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(want)}$"):
+        fourier_beta_probe(never, 0.4, [8, 16], norm)
 
 
 def test_fourier_probe_rejects_bad_args():
@@ -553,9 +565,9 @@ def test_fourier_probe_rejects_bad_args():
     with pytest.raises(ParameterError):
         fourier_beta_probe(co, 0.4, [8, 16], norm="sup")
     with pytest.raises(ParameterError):
-        fourier_beta_probe(co, 0.4, [8, 16], x_grid=500)
+        fourier_beta_probe(co, 0.4, [8, 16], "linf", x_grid=500)
     with pytest.raises(ParameterError):
-        fourier_beta_probe(co, 0.4, [16, 8])
+        fourier_beta_probe(co, 0.4, [16, 8], "linf")
 
 
 # ------------------------------------------------------------------ CSV

@@ -57,13 +57,13 @@ def test_third_order_nodes_and_scales():
 
 
 def test_resolve_scheme_names():
-    assert resolve_scheme("euler").s == 1
+    assert resolve_scheme("euler", 0.5).s == 1
     assert resolve_scheme("rk2", 0.3).c[1] == 0.3
-    assert resolve_scheme("rk3paper").s == 3
-    assert [resolve_scheme(name).name for name in BUILTIN_SCHEMES] == ["euler", "rk2(c=0.5)",
+    assert resolve_scheme("rk3paper", 0.5).s == 3
+    assert [resolve_scheme(name, 0.5).name for name in BUILTIN_SCHEMES] == ["euler", "rk2(c=0.5)",
                                                                       "rk3paper"]
     with pytest.raises(ParameterError, match="built-ins are euler, rk2, rk3paper$"):
-        resolve_scheme("etd3rk")
+        resolve_scheme("etd3rk", 0.5)
 
 
 PHI1 = PhiCombo((PhiTerm(1.0, 1, 1.0),))
@@ -311,7 +311,7 @@ GAPPY = parse_tableau("c = 0,0.5,0,0,1\n"
                       "b[2] = scale:1 phi:2 w:1\n"
                       "b[4] = scale:1 phi:3 w:0.5\n"
                       "b[5] = scale:0.5 phi:3 w:0.5\n")
-PINNED = [resolve_scheme("euler"), resolve_scheme("rk2"), resolve_scheme("rk3paper"),
+PINNED = [resolve_scheme("euler", 0.5), resolve_scheme("rk2", 0.5), resolve_scheme("rk3paper", 0.5),
           second_order(1.0 / 3.0), GAPPY]
 
 
