@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from math import log2
 
@@ -139,11 +140,13 @@ def read_config(path) -> dict:
 
 
 def resolve_spec(args) -> ExperimentSpec:
-    """ExperimentSpec of a subcommand's settings, each its flag if given, else its --config
-    file value, else ExperimentSpec's default; args.out is set to the resolved --out."""
+    """ExperimentSpec of a subcommand's settings, each its flag if given, else its --config file
+    value (paths from the file's directory), else the default; args.out is the resolved --out."""
     values = {}
     if getattr(args, "config", None) is not None:
         values = read_config(args.config)
+        here = os.path.dirname(args.config)
+        values.update((k, os.path.join(here, values[k])) for k in ("tableau", "out") if k in values)
     values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     args.out = values.pop("out", None)
     if "tableau" in values:

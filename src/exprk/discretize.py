@@ -40,32 +40,38 @@ class OperatorPair:
         self.__dict__.update(A=A, B=B)
 
     def __getattr__(self, name: str) -> np.ndarray:
-        """A or B of a build_operators pair: the first read of either writes the stencils
-        A = (nu/h^2) tridiag(-1, 2, -1), B = (1/2h) tridiag(-1, 0, 1) into zeros and keeps both."""
+        """A or B of a build_operators pair: the first read of either forms and keeps both."""
         if name not in ("A", "B") or self.grid is None:
             raise AttributeError(f"'OperatorPair' object has no attribute {name!r}")
+        self.__dict__.update(zip("AB", self._stencils()))
+        return self.__dict__[name]
+
+    def _stencils(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B): the kept arrays if any, else a build_operators pair's stencils A = (nu/h^2)
+        tridiag(-1, 2, -1), B = (1/2h) tridiag(-1, 0, 1) written into zeros, fresh and not kept."""
+        if "A" in self.__dict__:
+            return self.A, self.B
         n, h = self.grid.n_inner, self.grid.h
         a, b, i = self.nu / h ** 2, 1.0 / (2.0 * h), np.arange(n - 1)
         A, B = np.zeros((n, n)), np.zeros((n, n))
         np.fill_diagonal(A, 2.0 * a)
         A[i, i + 1] = A[i + 1, i] = -a
         B[i, i + 1], B[i + 1, i] = b, -b
-        self.__dict__.update(A=A, B=B)
-        return self.__dict__[name]
+        return A, B
 
     @cached_property
     def eigen(self) -> SymEigen | None:
         """A = Q diag(lam) Q^T by one sym_eigen, cached; None for a non-symmetric A."""
         try:
-            return sym_eigen(self.A)
+            return sym_eigen(self._stencils()[0])
         except ContractError:  # not symmetric to 1e-12 (or not finite)
             return None
 
     @cached_property
     def B_eigen(self) -> np.ndarray:
-        """Q^T B Q, cached like eigen: A and B must not change after first use."""
+        """Q^T B Q, cached like eigen: a pair's given A and B must not change after first use."""
         Q = self.eigen.eigenvectors
-        return Q.T @ self.B @ Q
+        return Q.T @ self._stencils()[1] @ Q
 
     @cached_property
     def phi_memo(self) -> dict:

@@ -6,7 +6,7 @@ per (tableau, A, tau) by running the stage recurrence on the identity. For a
 symmetric A = Q diag(lam) Q^T it runs in A's eigenbasis (Hochbruck & Ostermann,
 Acta Numerica 2010, sec. 2), where every phi matrix is a diagonal phi_k(t lam):
 a build there costs its s - 1 GEMMs B^ U_i plus O(n^2) row scalings and
-in-place sums, each sum starting at phi_0 and adding its terms left to right.
+in-place sums in s n x n arrays, each phi_0 + T_1 + T_2 + ... left to right.
 Any other A takes its phi matrices from one matfuncs.phi_matrices call, in
 which nodes of one power-of-two family (1 and 1/2 for rk2(1/2) and rk3paper)
 share one squaring chain for phi_0 and one doubling chain for the higher phi.
@@ -51,7 +51,6 @@ class Stepper:
     def __init__(self, tableau: Tableau, ops: OperatorPair, tau: float):
         if not 0 < tau < math.inf:
             raise ParameterError(f"step size must be positive and finite, got {tau}")
-        A, B, n = ops.A, ops.B, len(ops.A)
 
         # phi_k(scale * Z), Z = -tau * A, for every (k, scale) in tableau.phi_keys.
         # In A's eigenbasis it is a diagonal, held as a column, so applying it
@@ -62,28 +61,35 @@ class Stepper:
             phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in tableau.phi_keys}
             apply = np.multiply
         else:
-            self.Q, apply = np.eye(n), np.matmul
+            A, B = ops.A, ops.B
+            self.Q, apply = np.eye(len(A)), np.matmul
             phi = phi_matrices(-tau * A, tableau.phi_keys, ops.phi_memo)
-        zero = np.zeros_like(phi[0, 1.0])
-        # Every T_j is formed in this one buffer: page faults on fresh n x n
-        # temporaries took ~2.5 of ~11 ms of an rk3paper build at n = 399.
-        scratch = np.empty((n, n))
+        n, zero = len(B), np.zeros_like(phi[0, 1.0])
+        # A build holds s n x n arrays of its own (three for rk3paper): page faults on
+        # fresh n x n temporaries took ~2.5 of ~11 ms of an rk3paper build at n = 399.
+        spare = np.empty((n, n))
 
         def stage(c, terms):
             """phi_0(c Z) + T_1 + T_2 + ..., T_j = tau combo_j(Z) BU_j, summed in place
             left to right."""
             S = np.diag(phi[0, c][:, 0]) if diagonal else phi[0, c].copy()
             for combo, BUj in terms:
-                S += apply(tau * combo.combine(phi, zero), BUj, out=scratch)
+                S += apply(tau * combo.combine(phi, zero), BUj, out=spare)
             return S
 
-        # The stage recurrence with the identity as the state: U_i is the
-        # matrix taking u to stage i, and BU[i - 1] = B U_i.
+        # The stage recurrence with the identity as the state: U_i is the matrix taking u
+        # to stage i, and BU[i - 1] = B U_i, written into the spare; U_i's buffer is the next.
         BU = [B]  # U_1 = I since c_1 = 0
         for i, ci in enumerate(tableau.c[1:], start=2):
             a_i = [(tableau.a[i, j], BU[j - 1]) for j in range(1, i) if (i, j) in tableau.a]
-            BU.append(B @ stage(ci, a_i))
-        self.R = stage(1.0, zip(tableau.b, BU))
+            BU.append(np.matmul(B, S := stage(ci, a_i), out=spare))
+            spare = S
+        # R = phi_0 + T_1 + ... as T_1 + phi_0 + ... (one sum either way round), phi_0 added
+        # on the diagonal (step n + 1) or whole; no BU_j is read again, so T_j overwrites it.
+        self.R = apply(tau * tableau.b[0].combine(phi, zero), B, out=spare)
+        self.R.reshape(-1)[::n + 1 if diagonal else 1] += phi[0, 1.0].reshape(-1)
+        for combo, BUj in zip(tableau.b[1:], BU[1:]):
+            self.R += apply(tau * combo.combine(phi, zero), BUj, out=BUj)
 
     def to_basis(self, u):
         u = np.asarray(u, dtype=float)
@@ -155,7 +161,9 @@ def solve_reference_rk4(ops: OperatorPair, u0, T: float, tau_ref: float):
         raise ParameterError(
             f"tau_ref={tau_ref:g} exceeds RK4 stability bound "
             f"{RK4_STABILITY_LIMIT / rho:g} (spectral radius <= {rho:g})")
-    L = ops.B - ops.A
+    A, B = ops._stencils()  # a fresh B (none kept) takes L in place, and A goes before P
+    L = np.subtract(B, A, out=None if B is ops.__dict__.get("B") else B)
+    del A
     n, (i, j) = L.shape[0], np.nonzero(L)
     w = int(np.abs(i - j).max(initial=0))  # L's bandwidth: max |i - j| over its nonzeros
     M = np.multiply(L, tau_ref, out=L)  # of bandwidth w; L is not read again

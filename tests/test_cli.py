@@ -594,6 +594,22 @@ def test_config_key_equals_its_flag(tmp_path, capsys, monkeypatch, key):
         assert study([flag, base[key]] if key in base else []) != via_flag
 
 
+def test_config_file_paths_are_read_from_its_directory(tmp_path, capsys, monkeypatch):
+    """tableau and out set in sub/run.cfg name files beside it, run from the parent
+    directory; a path given as a flag still names one in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "mine.tab").write_text(RK3_FILE)
+    (sub / "run.cfg").write_text("tableau = mine.tab\nout = study.csv\n")
+    code, stdout, _ = run(["convergence", "--config", "sub/run.cfg"] + FAST, capsys)
+    assert code == 0 and "wrote sub/study.csv" in stdout
+    assert "scheme=rk3-from-file" in (sub / "study.csv").read_text()
+    code, _, _ = run(["convergence", "--config", "sub/run.cfg", "--out", "here.csv"] + FAST, capsys)
+    assert code == 0 and (tmp_path / "here.csv").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["here.csv", "sub"]
+
+
 def test_config_file_value_is_cast(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 25\nc = 0.75\nscheme = rk2\n"

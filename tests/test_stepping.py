@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -333,6 +334,35 @@ def test_propagator_is_bit_identical_to_plain_recurrence(path, taus, tab):
     for k in taus:
         tau = 2.0 ** -k
         assert np.array_equal(Stepper(tab, ops, tau).R, reference_propagator(tab, ops, tau)), tau
+
+
+def test_study_keeps_no_dense_A_or_B():
+    # the reference, an rk3paper build and solve form the stencils they read and keep none;
+    # on a pair whose stencils are kept, the reference gives the same bits and leaves B be
+    g = build_grid(399)
+    ops, u0 = build_operators(g, 0.2), initial_data(g)
+    ref = solve_reference_rk4(ops, u0, 2.0 ** -8, 2.0 ** -16)
+    Stepper(third_order(), ops, 2.0 ** -9)
+    solve(third_order(), ops, u0, 2.0 ** -8, 2.0 ** -8)
+    assert "A" not in vars(ops) and "B" not in vars(ops)
+    kept = build_operators(g, 0.2)
+    B = kept.B.copy()
+    assert solve_reference_rk4(kept, u0, 2.0 ** -8, 2.0 ** -16).tobytes() == ref.tobytes()
+    assert kept.B.tobytes() == B.tobytes()
+
+
+def test_spectral_build_holds_three_arrays():
+    # rk3paper in A's eigenbasis: the spare buffer and B^ U_2, B^ U_3, R formed in them
+    n = 399
+    ops = build_operators(build_grid(n), 0.2)
+    ops.B_eigen
+    tracemalloc.start()
+    try:
+        Stepper(third_order(), ops, 2.0 ** -5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * 3 * n * n * 8, peak / (n * n * 8)
 
 
 def test_cached_stepper_matches_per_call_recomputation():
