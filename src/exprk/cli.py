@@ -54,7 +54,8 @@ SETTINGS = {
     "tau_list": (float_tuple, "comma-separated decreasing step sizes (default: 2^"
                  f"{log2(ExperimentSpec.tau_list[0]):g}..2^"
                  f"{log2(ExperimentSpec.tau_list[-1]):g})"),
-    "tau_ref": (float, "reference RK4 step (default: stability-derived)"),
+    "tau_ref": (float, "reference RK4 step (default: stability-derived); a smaller one is "
+                "no better, as its rounding error grows like (T/tau_ref) 2^-53"),
     "out": (str, f"output CSV path (default: {DEFAULT_OUT})"),
 }
 

@@ -29,7 +29,7 @@ class OperatorPair:
     A: np.ndarray  # SPD, discrete -nu * d2/dx2
     B: np.ndarray  # skew-symmetric, discrete d/dx
     nu: float
-    # set by build_operators only, so A and B are its stencils; replace() drops it
+    # set by build_operators only, so A, B and L are its stencils; replace() drops it
     grid: Grid1D | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -40,30 +40,23 @@ class OperatorPair:
         self.__dict__.update(A=A, B=B)
 
     def __getattr__(self, name: str) -> np.ndarray:
-        """A or B of a build_operators pair: the first read of either forms and keeps both."""
-        if name not in ("A", "B") or self.grid is None:
+        """A, B or L = B - A: a build_operators pair's are written from stencil_bands into
+        zeros on each read and never kept; a given pair's L is its B - A."""
+        if name == "L" and self.grid is None:
+            return self.B - self.A
+        if name not in ("A", "B", "L") or self.grid is None:
             raise AttributeError(f"'OperatorPair' object has no attribute {name!r}")
-        self.__dict__.update(zip("AB", self._stencils()))
-        return self.__dict__[name]
-
-    def _stencils(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, B): the kept arrays if any, else a build_operators pair's stencils A = (nu/h^2)
-        tridiag(-1, 2, -1), B = (1/2h) tridiag(-1, 0, 1) written into zeros, fresh and not kept."""
-        if "A" in self.__dict__:
-            return self.A, self.B
-        n, h = self.grid.n_inner, self.grid.h
-        a, b, i = self.nu / h ** 2, 1.0 / (2.0 * h), np.arange(n - 1)
-        A, B = np.zeros((n, n)), np.zeros((n, n))
-        np.fill_diagonal(A, 2.0 * a)
-        A[i, i + 1] = A[i + 1, i] = -a
-        B[i, i + 1], B[i + 1, i] = b, -b
-        return A, B
+        (lower, diagonal, upper), n = stencil_bands(self.grid, self.nu)[name], self.grid.n_inner
+        M, i = np.zeros((n, n)), np.arange(n - 1)
+        np.fill_diagonal(M, diagonal)
+        M[i + 1, i], M[i, i + 1] = lower, upper
+        return M
 
     @cached_property
     def eigen(self) -> SymEigen | None:
         """A = Q diag(lam) Q^T by one sym_eigen, cached; None for a non-symmetric A."""
         try:
-            return sym_eigen(self._stencils()[0])
+            return sym_eigen(self.A)
         except ContractError:  # not symmetric to 1e-12 (or not finite)
             return None
 
@@ -71,7 +64,7 @@ class OperatorPair:
     def B_eigen(self) -> np.ndarray:
         """Q^T B Q, cached like eigen: a pair's given A and B must not change after first use."""
         Q = self.eigen.eigenvectors
-        return Q.T @ self._stencils()[1] @ Q
+        return Q.T @ self.B @ Q
 
     @cached_property
     def phi_memo(self) -> dict:
@@ -94,24 +87,28 @@ def build_grid(n_inner: int) -> Grid1D:
     return Grid1D(n_inner=n_inner, h=h, xs=xs)
 
 
-def _check_nu(nu):
+def stencil_bands(g: Grid1D, nu: float) -> dict[str, tuple[float, float, float]]:
+    """(lower, main, upper) diagonals of the testbed stencils A = a tridiag(-1, 2, -1), a = nu/h^2,
+    B = b tridiag(-1, 0, 1), b = 1/2h, and L = B - A, whose a - b, -2a, a + b round as B's
+    bands minus A's do; ParameterError unless nu is positive and finite."""
     if not 0 < nu < np.inf:
         raise ParameterError(f"diffusion coefficient nu must be positive and finite, got {nu}")
+    a, b = nu / g.h ** 2, 1.0 / (2.0 * g.h)
+    return {"A": (-a, 2.0 * a, -a), "B": (-b, 0.0, b), "L": (a - b, -2.0 * a, a + b)}
 
 
 def build_operators(g: Grid1D, nu: float) -> OperatorPair:
-    """The testbed pair on g. It holds g and nu only; A and B are formed when first read."""
-    _check_nu(nu)
+    """The testbed pair on g. It holds g and nu only; A, B and L are formed on each read."""
+    stencil_bands(g, nu)  # checks nu
     ops = object.__new__(OperatorPair)  # bypasses __init__, so A and B stay unset
     ops.__dict__.update(nu=nu, grid=g)
     return ops
 
 
 def exact_eigenvalues(g: Grid1D, nu: float) -> np.ndarray:
-    """A's closed-form eigenvalues lam_k = (4 nu/h^2) sin^2(k pi h/2), k = 1..n, ascending."""
-    _check_nu(nu)
+    """A's closed-form eigenvalues lam_k = 2 A_kk sin^2(k pi h/2), k = 1..n, ascending."""
     k = np.arange(1, g.n_inner + 1)
-    return (4.0 * nu / g.h ** 2) * np.sin(0.5 * np.pi * g.h * k) ** 2
+    return (2.0 * stencil_bands(g, nu)["A"][1]) * np.sin(0.5 * np.pi * g.h * k) ** 2
 
 
 def exact_eigen(g: Grid1D, nu: float) -> SymEigen:

@@ -154,7 +154,8 @@ def relative_boundedness_probe(gamma: float, n_list: Sequence[int],
     Y = np.zeros((2, m, N))  # Y[0]: M^T M from Q v, Y[1]: M M^T from Q M^T v = D Q (-B v)
     for i, n in enumerate(n_list.astype(int)):
         g, v = discretize.build_grid(n), _unit_start(n)
-        d, b2 = discretize.exact_eigenvalues(g, nu) ** -gamma, (0.5 / g.h) ** 2  # D = diag(d)
+        d = discretize.exact_eigenvalues(g, nu) ** -gamma  # D = diag(d)
+        b2 = discretize.stencil_bands(g, nu)["B"][2] ** 2
         E = np.column_stack([np.zeros((n, 2)), v, -discretize.apply_B(g, v)])
         E[[0, -1], [0, 1]] = 1.0
         QE = discretize.dst1(E)  # Q e_1, Q e_n, Q v, Q (-B v)

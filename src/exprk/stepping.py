@@ -17,8 +17,8 @@ solve runs its N matvecs unchecked and tests finiteness once at the end: a
 non-finite entry stays non-finite through every later matvec. Only a failed
 run is replayed with a check per step, so InstabilityError names the first
 non-finite step. The RK4 reference first checks tau_ref against
-_gershgorin_radius (a closed form on a build_operators pair: a rejected tau_ref
-forms no n x n array), then forms P = p(tau_ref (B - A)) and its first squares
+_gershgorin_radius (L's band row sums on a build_operators pair: a rejected tau_ref
+forms no n x n array), then reads L = B - A, forms P = p(tau_ref L) and its first squares
 over their band only, squares while a square costs fewer matvecs than it saves,
 and applies the rest of P^N to u0 as matvecs.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import OperatorPair
+from .discretize import OperatorPair, stencil_bands
 from .errors import DimensionError, InstabilityError, ParameterError
 from .matfuncs import phi_matrices, phi_values
 from .tableaus import Tableau
@@ -154,16 +154,14 @@ def _band_matmul(X, wx, Y, wy, out):
 
 def solve_reference_rk4(ops: OperatorPair, u0, T: float, tau_ref: float):
     """Classical RK4 on u' = (B - A) u, the reference solver; ParameterError unless
-    tau_ref <= 2.7 / _gershgorin_radius(ops), checked before B - A is formed."""
+    tau_ref <= 2.7 / _gershgorin_radius(ops), checked before ops.L is read."""
     N = check_divides(T, tau_ref, "tau_ref")
     rho = _gershgorin_radius(ops)
     if rho > 0 and tau_ref > RK4_STABILITY_LIMIT / rho:
         raise ParameterError(
             f"tau_ref={tau_ref:g} exceeds RK4 stability bound "
             f"{RK4_STABILITY_LIMIT / rho:g} (spectral radius <= {rho:g})")
-    A, B = ops._stencils()  # a fresh B (none kept) takes L in place, and A goes before P
-    L = np.subtract(B, A, out=None if B is ops.__dict__.get("B") else B)
-    del A
+    L = ops.L  # formed on this read, so M and P may overwrite it
     n, (i, j) = L.shape[0], np.nonzero(L)
     w = int(np.abs(i - j).max(initial=0))  # L's bandwidth: max |i - j| over its nonzeros
     M = np.multiply(L, tau_ref, out=L)  # of bandwidth w; L is not read again
@@ -191,11 +189,12 @@ def solve_reference_rk4(ops: OperatorPair, u0, T: float, tau_ref: float):
 
 
 def _gershgorin_radius(ops: OperatorPair) -> float:
-    """spectral_radius_estimate(A - B); for a build_operators pair its largest row sum, no n x n."""
+    """spectral_radius_estimate(L); for a build_operators pair the largest row sum of L's
+    bands (row 1 has no lower, row n no upper entry), no n x n."""
     if ops.grid is None:
-        return spectral_radius_estimate(ops.A - ops.B)
-    a, b = ops.nu / ops.grid.h ** 2, 1.0 / (2.0 * ops.grid.h)
-    return 2.0 * a + (a + b) + (abs(a - b) if ops.grid.n_inner > 2 else 0.0)
+        return spectral_radius_estimate(ops.L)
+    lower, diagonal, upper = map(abs, stencil_bands(ops.grid, ops.nu)["L"])
+    return diagonal + max(lower, upper) + (min(lower, upper) if ops.grid.n_inner > 2 else 0.0)
 
 
 def default_reference_step(ops: OperatorPair, T: float) -> float:

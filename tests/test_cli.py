@@ -2,7 +2,11 @@
 
 import dataclasses
 import inspect
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -305,6 +309,24 @@ def test_probe_kind_help_lists_exactly_its_own_flags(capsys, kind, flags):
         assert entry.count("default") <= 1, entry
     for entry in re.split(r"\n(?=  -)", out.split("options:", 1)[1]):
         assert entry.count("default") <= 1, entry
+
+
+def test_cli_runs_import_neither_numpy_ma_nor_scipy(tmp_path):
+    # numpy.ma would cost ~1.2 MB of a run's resident set, and scipy is no dependency
+    script = (
+        "import contextlib, io, sys\n"
+        "from exprk.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['convergence', '--n', '25'], ['probe', 'smoothing'],\n"
+        "                 ['probe', 'relbound'], ['probe', 'fourier'], ['check-order']):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma'\n"
+        "             or m.startswith(('numpy.ma.', 'scipy'))))\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):

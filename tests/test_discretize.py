@@ -69,14 +69,19 @@ def test_operator_eigenvalues_closed_form():
     assert np.allclose(np.linalg.eigvalsh(ops.A), np.sort(expected), rtol=1e-12)
 
 
+def dense_stencils(g, nu):
+    """Oracle: the testbed's A and B composed densely from eye and diag."""
+    off = np.ones(g.n_inner - 1)
+    A = (nu / g.h ** 2) * (2.0 * np.eye(g.n_inner) - np.diag(off, 1) - np.diag(off, -1))
+    B = (1.0 / (2.0 * g.h)) * (np.diag(off, 1) - np.diag(off, -1))
+    return A, B
+
+
 @pytest.mark.parametrize("nu", [1e-3, 0.2, 7.5])
 @pytest.mark.parametrize("n", [2, 3, 10, 100, 399])
 def test_build_operators_bytes_match_dense_formula(n, nu):
-    # oracle: the same stencils composed densely from eye and diag
     g = build_grid(n)
-    off = np.ones(n - 1)
-    A = (nu / g.h ** 2) * (2.0 * np.eye(n) - np.diag(off, 1) - np.diag(off, -1))
-    B = (1.0 / (2.0 * g.h)) * (np.diag(off, 1) - np.diag(off, -1))
+    A, B = dense_stencils(g, nu)
     ops = build_operators(g, nu)
     assert ops.A.tobytes() == A.tobytes() and ops.B.tobytes() == B.tobytes()
     assert ops.A.shape == ops.B.shape == (n, n)
@@ -107,14 +112,49 @@ def test_operator_pair_carries_grid_only_from_build_operators():
         smoothing_probe(flipped, 0.5, [0.1, 1.0])
 
 
-def test_build_operators_pair_forms_A_and_B_once():
-    ops = build_operators(build_grid(7), 0.2)
-    A = ops.A
-    assert ops.A is A and ops.B is ops.B
+def test_grid_pair_forms_A_B_and_L_fresh_on_each_read_and_keeps_none():
+    g = build_grid(7)
+    ops, (A, B) = build_operators(g, 0.2), dense_stencils(g, 0.2)
+    for name, want in (("A", A), ("B", B), ("L", B - A)):
+        first, again = getattr(ops, name), getattr(ops, name)
+        assert first is not again and not np.shares_memory(first, again), name
+        assert first.tobytes() == again.tobytes() == want.tobytes(), name
+    assert not {"A", "B", "L"} & set(vars(ops))
     with pytest.raises(AttributeError, match="no attribute 'C'"):
         ops.C
-    # a pair built by hand has no grid, so nothing is formed for it
-    assert OperatorPair(A=A, B=ops.B, nu=0.2).A is A
+    # a pair built by hand keeps the arrays it was given
+    assert OperatorPair(A=A, B=B, nu=0.2).A is A
+
+
+def test_writing_into_a_read_A_changes_neither_the_next_read_nor_eigen():
+    g = build_grid(9)
+    ops, want = build_operators(g, 0.2), sym_eigen(dense_stencils(g, 0.2)[0])
+    ops.A[:] = np.nan
+    assert ops.A.tobytes() == dense_stencils(g, 0.2)[0].tobytes()
+    assert np.array_equal(ops.eigen.eigenvalues, want.eigenvalues)
+    assert np.array_equal(ops.eigen.eigenvectors, want.eigenvectors)
+
+
+@pytest.mark.parametrize("n", [2, 3, 25, 399])
+def test_L_is_B_minus_A_bit_for_bit(n):
+    ops = build_operators(build_grid(n), 0.2)
+    assert ops.L.tobytes() == (ops.B - ops.A).tobytes()
+    given = OperatorPair(A=ops.A - ops.B / 2, B=ops.B / 2, nu=0.2)
+    assert given.L.tobytes() == (given.B - given.A).tobytes()
+
+
+def test_eigen_reads_only_A_and_B_eigen_only_B(monkeypatch):
+    reads, read = [], OperatorPair.__getattr__
+
+    def spy(self, name):
+        reads.append(name)
+        return read(self, name)
+    monkeypatch.setattr(OperatorPair, "__getattr__", spy)
+    ops = build_operators(build_grid(6), 0.2)
+    ops.eigen
+    assert reads == ["A"]
+    ops.B_eigen
+    assert reads == ["A", "B"]
 
 
 def test_replace_on_an_unread_pair_flips_A_and_drops_grid():

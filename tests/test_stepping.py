@@ -1,5 +1,6 @@
 """Scheme construction and time stepping, checked against scalar exact solutions."""
 
+import dataclasses
 import functools
 import math
 import re
@@ -249,6 +250,17 @@ def test_memo_builds_match_fresh_pair_builds(tab, order):
                                        for levels in shared.phi_memo.values()), tau
 
 
+def test_cleared_memo_rebuilds_the_same_R():
+    # phi_memo.clear() is how a general pair lets its chains go; del is refused (frozen)
+    ops, tab = split_pair(), third_order()
+    R = Stepper(tab, ops, 2.0 ** -3).R
+    assert ops.phi_memo
+    ops.phi_memo.clear()
+    assert np.array_equal(Stepper(tab, ops, 2.0 ** -3).R, R)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ops.phi_memo
+
+
 @pytest.mark.parametrize("tab", MEMO_SCHEMES, ids=["euler", "rk2", "rk3paper"])
 def test_memo_halving_study_runs_one_base_step_per_chain(tab, monkeypatch):
     # tau, tau/2, tau/4, tau/8: the first build runs both chains from their bases, the
@@ -338,14 +350,14 @@ def test_propagator_is_bit_identical_to_plain_recurrence(path, taus, tab):
 
 def test_study_keeps_no_dense_A_or_B():
     # the reference, an rk3paper build and solve form the stencils they read and keep none;
-    # on a pair whose stencils are kept, the reference gives the same bits and leaves B be
+    # on a pair given the same stencils, the reference gives the same bits and leaves B be
     g = build_grid(399)
     ops, u0 = build_operators(g, 0.2), initial_data(g)
     ref = solve_reference_rk4(ops, u0, 2.0 ** -8, 2.0 ** -16)
     Stepper(third_order(), ops, 2.0 ** -9)
     solve(third_order(), ops, u0, 2.0 ** -8, 2.0 ** -8)
     assert "A" not in vars(ops) and "B" not in vars(ops)
-    kept = build_operators(g, 0.2)
+    kept = OperatorPair(A=ops.A, B=ops.B, nu=0.2)
     B = kept.B.copy()
     assert solve_reference_rk4(kept, u0, 2.0 ** -8, 2.0 ** -16).tobytes() == ref.tobytes()
     assert kept.B.tobytes() == B.tobytes()
@@ -706,10 +718,14 @@ def test_dense_gershgorin_oracle_forms_the_testbed_pair():
 @pytest.mark.parametrize("n", [2, 3, 25, 399, 4000])
 def test_reference_radius_closed_form_matches_dense_row_sums(n):
     g = build_grid(n)
-    ops = build_operators(g, 0.2)
-    rho, dense = stepping._gershgorin_radius(ops), dense_gershgorin(g, 0.2)
-    assert abs(rho - dense) <= 2 * np.spacing(dense), (rho, dense)
-    assert "A" not in vars(ops)  # the closed form formed no matrix
+    for nu in (1e-3, 0.2, 7.3):  # a < b at nu = 1e-3 for n < 499 (160 < 200 at n = 399)
+        ops = build_operators(g, nu)
+        rho, dense = stepping._gershgorin_radius(ops), dense_gershgorin(g, nu)
+        assert abs(rho - dense) <= 2 * np.spacing(dense), (nu, rho, dense)
+        # the former closed form 2a + (a + b) + |a - b|, to the bit
+        a, b = nu / g.h ** 2, 1.0 / (2.0 * g.h)
+        assert rho == 2.0 * a + (a + b) + (abs(a - b) if n > 2 else 0.0), (nu, rho, a, b)
+        assert "A" not in vars(ops)  # the closed form formed no matrix
 
 
 def test_reference_radius_of_a_general_pair_is_the_dense_row_sum():
