@@ -17,17 +17,17 @@ from .errors import ContractError, DimensionError, ParameterError
 from .matfuncs import SymEigen, sym_eigen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid1D:
     n_inner: int
     h: float
     xs: np.ndarray  # inner nodes i*h, i = 1..n_inner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPair:
-    A: np.ndarray  # SPD, discrete -nu * d2/dx2
-    B: np.ndarray  # skew-symmetric, discrete d/dx
+    A: np.ndarray = field(repr=False)  # SPD, discrete -nu * d2/dx2
+    B: np.ndarray = field(repr=False)  # skew-symmetric, discrete d/dx
     nu: float
     # set by build_operators only, so A, B and L are its stencils; replace() drops it
     grid: Grid1D | None = field(default=None, init=False)
@@ -111,17 +111,9 @@ def exact_eigenvalues(g: Grid1D, nu: float) -> np.ndarray:
     return (2.0 * stencil_bands(g, nu)["A"][1]) * np.sin(0.5 * np.pi * g.h * k) ** 2
 
 
-def exact_eigen(g: Grid1D, nu: float) -> SymEigen:
-    """A's closed-form DST-I eigenpairs: exact_eigenvalues, and
-    Q_jk = sqrt(2h) sin(pi m/(n+1)) with m = jk mod 2(n+1) reduced before the sine."""
-    lam, n, k = exact_eigenvalues(g, nu), g.n_inner, np.arange(1, g.n_inner + 1)
-    sines = np.sqrt(2.0 * g.h) * np.sin(np.pi / (n + 1) * np.arange(2 * (n + 1)))
-    return SymEigen(eigenvalues=lam, eigenvectors=sines[np.outer(k, k) % (2 * (n + 1))])
-
-
 def dst1(X) -> np.ndarray:
-    """exact_eigen's Q @ X along axis 0 (n = len(X)), the orthonormal DST-I, from one real FFT
-    of [0, X, 0, ..., 0] of length 2(n+1) (Cooley & Tukey 1965; Martucci 1994)."""
+    """Q @ X along axis 0 (n = len(X)) for A's eigenbasis Q_jk = sqrt(2h) sin(jk pi h), the DST-I,
+    from one real FFT of [0, X, 0, ..., 0] of length 2(n+1) (Cooley & Tukey 1965; Martucci 1994)."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     Z = np.zeros((2 * (n + 1),) + X.shape[1:])

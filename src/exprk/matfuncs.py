@@ -49,33 +49,21 @@ def _as_square(M, name="matrix"):
 
 
 def is_symmetric(M):
-    scale = np.abs(M).max()
-    D = M - M.T  # |D| is taken in place: a second n x n temporary page-faults
-    return np.abs(D, out=D).max() <= _SYMMETRY_RTOL * scale
+    return np.abs(M - M.T).max() <= _SYMMETRY_RTOL * np.abs(M).max()
 
 
 def _expm_levels(Ms, E=None):
     """e^(2^j Ms), j = 0, 1, ...: a Pade solve at Ms (none from a level E), a squaring a level."""
     if E is None:
-        n, b = len(Ms), _PADE13
+        b, I = _PADE13, np.eye(len(Ms))
         M2 = Ms @ Ms
         M4 = M2 @ M2
         M6 = M4 @ M2
-        X, Y, W = (np.empty_like(M2) for _ in range(3))  # fresh n x n temporaries page-fault
-
-        def half(k, out, tmp):  # M6 (b[k+12] M6 + b[k+10] M4 + b[k+8] M2) + ... + b[k] I,
-            # summed left to right as U and V are written out of place, b[k] I on the diagonal
-            np.multiply(M6, b[k + 12], out=tmp)
-            for c, Mj in ((b[k + 10], M4), (b[k + 8], M2)):
-                tmp += np.multiply(Mj, c, out=out)
-            np.matmul(M6, tmp, out=out)
-            for c, Mj in ((b[k + 6], M6), (b[k + 4], M4), (b[k + 2], M2)):
-                out += np.multiply(Mj, c, out=tmp)
-            out.flat[::n + 1] += b[k]
-            return out
-        U = np.matmul(Ms, half(1, X, Y), out=Y)
-        V = half(0, X, W)
-        E = np.linalg.solve(np.subtract(V, U, out=W), np.add(V, U, out=V))
+        U = Ms @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+                  + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * I)
+        V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+             + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * I)
+        E = np.linalg.solve(V - U, V + U)
     while True:
         yield E
         E = E @ E

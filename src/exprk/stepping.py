@@ -102,12 +102,13 @@ class Stepper:
 
 
 def check_divides(T, tau, what="tau") -> int:
-    """N = T/tau; ParameterError unless tau > 0 and T/tau is finite and within
-    1e-9 of an integer N >= 1."""
+    """N = T/tau; ParameterError unless tau > 0 and T/tau is within max(1e-9, N 2^-50), a few
+    ulps of N, of an integer 1 <= N < 2^48, below which a float still tells a non-integer."""
     ratio = T / tau if tau > 0 else math.inf
-    if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
-        raise ParameterError(f"{what}={tau:g} does not divide T={T:g}")
-    return round(ratio)
+    N = round(ratio) if ratio < 2.0 ** 48 else 0
+    if N < 1 or abs(ratio - N) > max(1e-9, N * 2.0 ** -50):
+        raise ParameterError(f"{what}={tau:g} does not divide T={T:g} into fewer than 2^48 steps")
+    return N
 
 
 def solve(tableau: Tableau, ops: OperatorPair, u0, T: float, tau: float) -> SolveResult:

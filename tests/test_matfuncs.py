@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exprk import matfuncs
-from exprk.discretize import build_grid, build_operators, exact_eigen
+from exprk.discretize import build_grid, build_operators
 from exprk.errors import ContractError, DimensionError, DomainError, ParameterError
 from exprk.matfuncs import (MAX_PHI_ORDER, SymEigen, expm, frac_power, is_symmetric,
                             phi_combination, phi_matrices, phi_matrix, phi_values,
                             sym_eigen)
+from oracles import exact_eigen
 
 
 # ---------------------------------------------------------------- oracles
@@ -330,38 +331,6 @@ def test_phi_horner_pass_runs_kmax_plus_19_products(kmax):
     assert Y.products == kmax + 19
     next(levels)
     assert Y.products == kmax + 19
-
-
-def out_of_place_expm_levels(Ms):
-    """_expm_levels as the plain [13/13] Pade formulas: every sum out of place, left to
-    right, with b_k I from np.eye; the in-place assembly must give its values bit for bit."""
-    b, I = matfuncs._PADE13, np.eye(len(Ms))
-    M2 = Ms @ Ms
-    M4 = M2 @ M2
-    M6 = M4 @ M2
-    U = Ms @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-              + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * I)
-    V = M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * I
-    E = np.linalg.solve(V - U, V + U)
-    while True:
-        yield E
-        E = E @ E
-
-
-def test_expm_levels_match_out_of_place_formulas():
-    # up to 8 squarings of a base of 1-norm up to 5.37 reach overflow, so inf and nan
-    # levels are compared too
-    rng = np.random.default_rng(43)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for trial in range(300):
-            n = int(rng.integers(1, 13))
-            Y = rng.standard_normal((n, n))
-            if trial % 2:
-                Y = Y + Y.T
-            Y *= matfuncs._PADE13_BOUND * 10.0 ** rng.uniform(-6, 0) / np.linalg.norm(Y, 1)
-            pairs = zip(matfuncs._expm_levels(Y), out_of_place_expm_levels(Y))
-            for level, (got, ref) in zip(range(9), pairs):
-                assert got.tobytes() == ref.tobytes(), (trial, level)
 
 
 def test_expm_levels_are_expm_of_halvings():

@@ -18,6 +18,7 @@ from exprk.probes import (DEFAULT_SMOOTHING_TIMES, TREND_FACTOR, ProbeReport, bo
                           relative_boundedness_probe,
                           sine_coefficients_initial_data, smoothing_probe,
                           worst_case_coefficients)
+from oracles import exact_eigen
 
 T_GRID = [2.0 ** -k for k in range(12, -1, -1)]
 
@@ -267,7 +268,7 @@ def test_probes_validate_grids_before_any_work(monkeypatch):
         raise AssertionError("work done before the grid was checked")
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, never)
-    for name in ("build_operators", "exact_eigen", "apply_B", "dst1"):
+    for name in ("build_operators", "apply_B", "dst1"):
         monkeypatch.setattr(discretize, name, never)
     for t_grid in ([1.0, 0.5, 2.0], [0.5, 0.5], [0.0, 1.0], [-1.0, 1.0], []):
         with pytest.raises(ParameterError, match="t_grid"):
@@ -282,7 +283,6 @@ def test_relbound_needs_no_eigh_and_no_dense_B(monkeypatch):
         raise AssertionError("relbound probe reached eigh, the dense operators, Q or A^-g")
     monkeypatch.setattr(np.linalg, "eigh", never)
     monkeypatch.setattr(discretize, "build_operators", never)
-    monkeypatch.setattr(discretize, "exact_eigen", never)
     monkeypatch.setattr(matfuncs, "frac_power", never)
     monkeypatch.setattr(probes, "operator_2norm", never)
     apply_B = discretize.apply_B
@@ -301,7 +301,7 @@ def test_BtB_closed_form_in_the_dst_basis(n):
     # checked against the dense stencil matrices
     g = build_grid(n)
     B = build_operators(g, 0.2).B
-    Q = discretize.exact_eigen(g, 0.2).eigenvectors
+    Q = exact_eigen(g, 0.2).eigenvectors
     L = 4.0 * np.sin(np.pi * g.h * np.arange(1, n + 1)) ** 2
     closed = (Q * L) @ Q
     closed[0, 0] -= 2.0
@@ -340,7 +340,7 @@ def _relbound_before_the_lockstep(gamma, n_list, nu):
     values = []
     for n in n_list:
         g = build_grid(n)
-        E, b2 = discretize.exact_eigen(g, nu), (0.5 / g.h) ** 2
+        E, b2 = exact_eigen(g, nu), (0.5 / g.h) ** 2
         v0 = np.random.default_rng(12345).standard_normal(n)
         v0 /= np.linalg.norm(v0)
         Q, d = E.eigenvectors, E.eigenvalues ** -gamma

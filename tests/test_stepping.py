@@ -19,6 +19,7 @@ from exprk.stepping import (Stepper, default_reference_step, solve,
 from exprk.tableau_io import parse_tableau
 from exprk.tableaus import (BUILTIN_SCHEMES, PhiCombo, PhiTerm, Tableau, exponential_euler,
                             resolve_scheme, second_order, third_order)
+from oracles import exact_eigen
 
 
 def scalar_ops(a, b):
@@ -394,19 +395,9 @@ def test_cached_stepper_matches_per_call_recomputation():
 
 # ------------------------------------------------ closed-form testbed oracle
 
-def closed_form_eigenpairs(n, nu):
-    """A = (nu/h^2) tridiag(-1, 2, -1): lam_k = (4 nu/h^2) sin^2(k pi h/2) and
-    Q_jk = sqrt(2h) sin(j k pi h), the orthonormal DST-I basis; k ascending."""
-    h = 1.0 / (n + 1)
-    k = np.arange(1, n + 1)
-    lam = (4.0 * nu / h ** 2) * np.sin(k * np.pi * h / 2.0) ** 2
-    Q = np.sqrt(2.0 * h) * np.sin(np.outer(k, k) * np.pi * h)
-    return lam, Q
-
-
 def test_sym_eigen_matches_closed_form_testbed_spectrum():
     ops = build_operators(build_grid(399), 0.2)
-    lam, _ = closed_form_eigenpairs(399, 0.2)
+    lam = exact_eigen(build_grid(399), 0.2).eigenvalues
     got = sym_eigen(ops.A).eigenvalues
     # relative to ||A||_2 = lam_max: a backward-stable eigh errs by ~eps ||A||
     # in every eigenvalue, so the smallest ones agree only to ~1e-11 each
@@ -418,7 +409,8 @@ def closed_form_propagator(tab, ops, tau):
     Q diag(phi_k(t lam)) Q^T built from the closed-form eigenpairs and the
     scalars phi_k(t lam) from phi_combination's augmented exponential."""
     n = ops.A.shape[0]
-    lam, Q = closed_form_eigenpairs(n, ops.nu)
+    E = exact_eigen(build_grid(n), ops.nu)
+    lam, Q = E.eigenvalues, E.eigenvectors
 
     def phi(k, t):
         if k == 0:
@@ -741,6 +733,25 @@ def test_default_reference_step_of_the_testbed_is_unchanged():
         if want is None:
             want = 1.0 / math.ceil(1.0 / (0.9 * 2.7 / dense_gershgorin(g, 0.2)))
         assert default_reference_step(build_operators(g, 0.2), 1.0) == want, n
+
+
+def test_check_divides_admits_every_default_reference_step():
+    # T/(T/N) rounds to N within a few ulps of N, past 1e-9 once N exceeds ~4.5e6;
+    # reading the Gershgorin rule from the stencil's bands forms no n x n array
+    for n in range(100, 20001, 37):
+        ops = build_operators(build_grid(n), 0.2)
+        for T in (1.0, 0.3, 2.5):
+            tau = default_reference_step(ops, T)
+            assert stepping.check_divides(T, tau, "tau_ref") == round(T / tau), (n, T)
+
+
+@pytest.mark.parametrize("tau", [1.0 / (2.0 ** 40 + 0.5), 2.0 ** -48, 1e-300])
+def test_check_divides_refuses_step_counts_past_2_48(tau):
+    # 2^40 + 0.5 is no integer, and at T/tau >= 2^48 a float can no longer tell one; checked
+    # here, not through solve, which would run 2^48 and more steps if the check let them by
+    assert stepping.check_divides(1.0, 2.0 ** -47) == 2 ** 47
+    with pytest.raises(ParameterError, match="does not divide T=1 into fewer than 2"):
+        stepping.check_divides(1.0, tau)
 
 
 # ------------------------------------------------ banded RK4 reference
