@@ -15,10 +15,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import discretize, stepping
+from .discretize import NORMS
 from .errors import InstabilityError, InsufficientDataError, ParameterError
 from .tableaus import Tableau, resolve_scheme
 
-NORMS = {"l1": 1, "l2": 2, "linf": math.inf}  # each error norm's name: its order p
 FLAG_OK = "ok"
 FLAG_UNSTABLE = "unstable"
 FLAG_IDENTICAL = "identical"  # error exactly zero against the reference

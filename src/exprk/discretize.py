@@ -8,6 +8,8 @@ A (discretizing -nu * d2/dx2) and a skew-symmetric advection matrix B
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -72,11 +74,8 @@ class OperatorPair:
         return {}
 
 
-@dataclass(frozen=True)
-class NormTriple:
-    l1: float
-    l2: float
-    linf: float
+NORMS = {"l1": 1, "l2": 2, "linf": math.inf}  # each error norm's name: its order p
+NormTriple = namedtuple("NormTriple", NORMS)
 
 
 def build_grid(n_inner: int) -> Grid1D:
@@ -135,18 +134,23 @@ def initial_data(g: Grid1D) -> np.ndarray:
     return 4.0 * g.xs * (1.0 - g.xs)
 
 
+def grid_norm(v, p, h: float) -> float:
+    """(h sum |v|^p)^(1/p) for p >= 1 and max|v| for p = inf; where the plain sum overflows,
+    the sum is taken over v / max|v| and the root scaled back."""
+    a, scale = np.abs(np.asarray(v, dtype=float)), 1.0
+    if p == math.inf:
+        return float(a.max()) if a.size else 0.0
+    with np.errstate(over="ignore"):
+        s = h * (a ** p).sum()
+    if s == math.inf and (m := a.max()) < math.inf:
+        scale, s = float(m), h * ((a / m) ** p).sum()
+    return scale * float(np.asarray(s) ** (1.0 / p))  # a 0-d array's ** 0.5 takes np.sqrt's bits
+
+
 def discrete_norms(g: Grid1D, v) -> NormTriple:
-    """h-weighted l1 and l2 norms plus the max norm of a grid function."""
+    """grid_norm of a grid function for each order p of NORMS, with the grid's h."""
     v = np.asarray(v, dtype=float)
     if v.shape != (g.n_inner,):
         raise DimensionError(
             f"vector length {v.shape} does not match grid size {g.n_inner}")
-    h, a = g.h, np.abs(v)
-    linf = float(a.max()) if v.size else 0.0
-    l1_l2 = []  # root(h sum |v|^p), rescaled by max|v| only when the plain sum overflows
-    for p, root in ((1, float), (2, np.sqrt)):
-        with np.errstate(over="ignore"):
-            l1_l2.append(float(root(h * (a ** p).sum())))
-        if l1_l2[-1] == np.inf and np.isfinite(linf):
-            l1_l2[-1] = linf * float(root(h * ((a / linf) ** p).sum()))
-    return NormTriple(*l1_l2, linf=linf)
+    return NormTriple(*(grid_norm(v, p, g.h) for p in NORMS.values()))

@@ -234,7 +234,7 @@ def phi_matrix(k: int, M):
     return phi_matrices(M, [(k, 1.0)])[k, 1.0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymEigen:
     """Eigendecomposition M = Q diag(eigenvalues) Q^T, eigenvalues ascending."""
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import discretize
-from .convergence import NORMS, ExperimentSpec, write_csv
+from .convergence import ExperimentSpec, write_csv
 from .errors import ContractError, DomainError, ParameterError
 from .matfuncs import is_symmetric
 
@@ -44,7 +44,7 @@ def bounded_trend(values) -> bool:
     return v[-1] <= TREND_FACTOR * (e[m] if len(e) % 2 else (e[m - 1] + e[m]) / 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeReport:
     grid: np.ndarray       # strictly increasing control parameter
     values: np.ndarray     # measured quantity per grid point
@@ -190,7 +190,7 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
 
     coeffs maps an integer array of indices k to the coefficients f_k, and is
     called once, on k = 1..max(N_list). Each truncation length N reports the
-    partial sum's discrete norm named by norm, a key of NORMS. On the grid
+    partial sum's discrete norm named by norm, a key of discretize.NORMS. On the grid
     x_j = j/(M-1), M = x_grid, cos(k pi x_j) has period L = 2(M-1) in k: the
     coefficients are folded by k mod L and each N takes one real FFT of length
     L (Cooley & Tukey 1965), in memory O(M + max(N_list)). The report's
@@ -198,9 +198,9 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
     not a proof: (beta=0.49, linf, 1/k) reads unbounded although its series is
     absolutely summable.
     """
-    p = NORMS.get(norm)
+    p = discretize.NORMS.get(norm)
     if p is None:
-        raise ParameterError(f"norm must be one of {', '.join(NORMS)}, got {norm!r}")
+        raise ParameterError(f"norm must be one of {', '.join(discretize.NORMS)}, got {norm!r}")
     if not np.isfinite(beta):
         raise ParameterError(f"beta must be finite, got {beta}")
     if x_grid < 1000:
@@ -220,5 +220,5 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
         S = np.fft.rfft(folded).real
         S += 2.0 * folded[1::2].sum() * x
         S -= folded.sum()
-        values.append(h ** (1.0 / p) * np.linalg.norm(S, p))  # h-weighted l1, l2; max
+        values.append(discretize.grid_norm(S, p, h))
     return _report(grid, values, f"fourier beta={beta:g} norm={norm}")

@@ -38,7 +38,7 @@ from .tableaus import Tableau
 RK4_STABILITY_LIMIT = 2.7  # inside the real-axis stability interval (~2.785)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     final: np.ndarray
     steps: int

@@ -190,6 +190,14 @@ def test_probe_overflow_prints_only_its_error_line(capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_probe_l2_past_square_overflow_exits_on_its_verdict(capsys):
+    # l1 and linf of this case are finite, and so is its l2
+    code, stdout, stderr = run(["probe", "fourier", "--beta", "20", "--coeffs", "1/k",
+                                "--norm", "l2"], capsys)
+    assert code == 1 and stderr == ""
+    assert stdout == "fourier beta=20 norm=l2: max=8.31351e+181 verdict=unbounded\n"
+
+
 def test_probe_smoothing_bounded(tmp_path, capsys):
     out = tmp_path / "smooth.csv"
     code, stdout, _ = run(["probe", "smoothing", "--gamma", "0.5",

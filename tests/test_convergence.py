@@ -1,5 +1,6 @@
 """Convergence harness: order fitting, experiment runs, CSV round-trips."""
 
+import dataclasses
 import math
 import pathlib
 
@@ -171,6 +172,13 @@ def test_csv_header_reads_norms_and_matches_committed_results():
 def test_row_err_reads_the_field_of_each_norm():
     row = ConvergenceRow(0.5, 1.0, 2.0, 3.0)
     assert [row.err(nm) for nm in NORMS] == [row.err_l1, row.err_l2, row.err_linf]
+
+
+def test_row_error_fields_are_the_norms_in_order():
+    # rows are built positionally and their err_<name> fields replaced by name, so the
+    # field names restate NORMS; a mismatch fails here, not mid-study in ConvergenceRow.err
+    names = [f.name for f in dataclasses.fields(ConvergenceRow)]
+    assert names[1:1 + len(NORMS)] == ["err_" + nm for nm in NORMS]
 
 
 def test_csv_preserves_17_digits():

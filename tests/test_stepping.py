@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from exprk import matfuncs, stepping
+from exprk import matfuncs, probes, stepping
 from exprk.discretize import OperatorPair, build_grid, build_operators, initial_data
 from exprk.errors import ContractError, DimensionError, InstabilityError, ParameterError
 from exprk.matfuncs import expm, phi_combination, phi_values, sym_eigen
@@ -841,3 +841,14 @@ def test_rk4_reference_squares_until_matvecs_are_cheaper(monkeypatch, N, squares
     g = build_grid(399)
     solve_reference_rk4(build_operators(g, 0.2), initial_data(g), N * 2.0 ** -16, 2.0 ** -16)
     assert len(calls) == 3 + squares
+
+
+def test_result_records_compare_and_hash_by_identity():
+    # a value test would compare their array fields and raise on two equal records
+    def records():
+        return [sym_eigen(np.eye(2)), stepping.SolveResult(np.ones(2), 1, 1.0),
+                probes.ProbeReport(np.arange(2.0), np.ones(2), 1.0, True)]
+    ones, twins = records(), records()
+    for one, twin in zip(ones, twins):
+        assert one == one and (one == twin) is False and one != twin
+    assert len({*ones, *ones}) == 3
