@@ -54,8 +54,6 @@ SETTINGS = {
     "tau_list": (float_tuple, "comma-separated decreasing step sizes (default: 2^"
                  f"{log2(ExperimentSpec.tau_list[0]):g}..2^"
                  f"{log2(ExperimentSpec.tau_list[-1]):g})"),
-    "tau_ref": (float, "reference RK4 step (default: stability-derived); a smaller one is "
-                "no better, as its rounding error grows like (T/tau_ref) 2^-53"),
     "out": (str, f"output CSV path (default: {DEFAULT_OUT})"),
 }
 
@@ -81,8 +79,7 @@ def _build_parser():
                        description="Each setting is its flag if given, else its value in "
                        "the --config file, else the default below.")
     p.set_defaults(handler=cmd_convergence, parser=p)
-    p.add_argument("--config", help="key = value file; the keys are the flag names below, "
-                   "with tau_list and tau_ref for --tau-list and --tau-ref")
+    p.add_argument("--config", help="key = value file; keys are the flag names below, '_' for '-'")
     _add_settings(p, SETTINGS)
 
     p = sub.add_parser("check-order", help="evaluate the stiff order conditions")

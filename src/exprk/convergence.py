@@ -17,7 +17,7 @@ import numpy as np
 from . import discretize, stepping
 from .discretize import NORMS
 from .errors import InstabilityError, InsufficientDataError, ParameterError
-from .tableaus import Tableau, resolve_scheme
+from .tableaus import Tableau, resolve_scheme, second_order
 
 FLAG_OK = "ok"
 FLAG_UNSTABLE = "unstable"
@@ -34,7 +34,6 @@ class ExperimentSpec:
     c: float = 0.5                      # free node of the rk2 family
     tableau: Optional[Tableau] = None   # overrides scheme when given
     tau_list: Tuple[float, ...] = tuple(2.0 ** -k for k in range(4, 11))
-    tau_ref: Optional[float] = None     # None: stability-derived default
 
     def validate(self):
         if len(self.tau_list) < 4:
@@ -44,13 +43,9 @@ class ExperimentSpec:
             raise ParameterError("tau_list must be strictly decreasing")
         for tau in self.tau_list:
             stepping.check_divides(self.T, tau)
-        if self.tau_ref is not None:
-            if self.tau_ref > min(self.tau_list) / REF_STEPS_PER_TAU:
-                raise ParameterError(f"tau_ref={self.tau_ref:g} must be at most "
-                                     f"min(tau_list)/{REF_STEPS_PER_TAU}")
-            stepping.check_divides(self.T, self.tau_ref, "tau_ref")
 
     def resolve_tableau(self) -> Tableau:
+        second_order(self.c)  # raises for a c outside (0, 1], whichever scheme or tableau runs
         return self.tableau if self.tableau is not None else resolve_scheme(self.scheme, self.c)
 
 
@@ -107,11 +102,9 @@ def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:
     grid = discretize.build_grid(spec.n_inner)
     ops = discretize.build_operators(grid, spec.nu)
     u0 = discretize.initial_data(grid)
-    tau_ref, cap = spec.tau_ref, min(spec.tau_list) / REF_STEPS_PER_TAU
-    if tau_ref is None:
-        tau_ref = stepping.default_reference_step(ops, spec.T)  # already T / N
-        if tau_ref > cap:
-            tau_ref = spec.T / math.ceil(spec.T / cap)
+    tau_ref = stepping.default_reference_step(ops, spec.T)  # already T / N
+    if tau_ref > (cap := min(spec.tau_list) / REF_STEPS_PER_TAU):
+        tau_ref = spec.T / math.ceil(spec.T / cap)
     u_ref = stepping.solve_reference_rk4(ops, u0, spec.T, tau_ref)
 
     rows = []

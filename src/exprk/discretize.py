@@ -89,16 +89,17 @@ def build_grid(n_inner: int) -> Grid1D:
 def stencil_bands(g: Grid1D, nu: float) -> dict[str, tuple[float, float, float]]:
     """(lower, main, upper) diagonals of the testbed stencils A = a tridiag(-1, 2, -1), a = nu/h^2,
     B = b tridiag(-1, 0, 1), b = 1/2h, and L = B - A, whose a - b, -2a, a + b round as B's
-    bands minus A's do; ParameterError unless nu is positive and finite."""
-    if not 0 < nu < np.inf:
-        raise ParameterError(f"diffusion coefficient nu must be positive and finite, got {nu}")
+    bands minus A's do; ParameterError unless nu > 0 and 4a + 2b, which bounds A's spectrum and
+    L's row sums, is finite."""
     a, b = nu / g.h ** 2, 1.0 / (2.0 * g.h)
+    if not (0 < nu and 4.0 * a + 2.0 * b < np.inf):
+        raise ParameterError(f"nu must be positive and finite, as must 4 nu/h^2 + 1/h, got {nu}")
     return {"A": (-a, 2.0 * a, -a), "B": (-b, 0.0, b), "L": (a - b, -2.0 * a, a + b)}
 
 
 def build_operators(g: Grid1D, nu: float) -> OperatorPair:
     """The testbed pair on g. It holds g and nu only; A, B and L are formed on each read."""
-    stencil_bands(g, nu)  # checks nu
+    stencil_bands(g, nu)  # checks nu against g
     ops = object.__new__(OperatorPair)  # bypasses __init__, so A and B stay unset
     ops.__dict__.update(nu=nu, grid=g)
     return ops

@@ -199,9 +199,13 @@ def _gershgorin_radius(ops: OperatorPair) -> float:
 
 
 def default_reference_step(ops: OperatorPair, T: float) -> float:
-    """Largest tau_ref = T/N with tau_ref <= min(2^-16, 0.9 * 2.7 / _gershgorin_radius(ops))."""
+    """Largest tau_ref = T/N with tau_ref <= min(2^-16, 0.9 * 2.7 / _gershgorin_radius(ops));
+    ParameterError, naming the radius, unless it is finite and N < 2^48."""
     rho = _gershgorin_radius(ops)
     bound = 2.0 ** -16
     if rho > 0:
         bound = min(bound, 0.9 * RK4_STABILITY_LIMIT / rho)
+    if not (rho < math.inf and T / bound < 2.0 ** 48):
+        raise ParameterError(f"the Gershgorin radius {rho:g} of B - A leaves no RK4 reference "
+                             f"step that divides T={T:g} into fewer than 2^48 steps")
     return T / math.ceil(T / bound)

@@ -18,8 +18,7 @@ from exprk.convergence import ConvergenceRow, ExperimentSpec
 from exprk.tableau_io import LocatedError, parse_tableau
 from exprk.tableaus import ORDER_CLAIMS, exponential_euler, third_order
 
-FAST = ["--n", "25", "--tau-list", "0.125,0.0625,0.03125,0.015625",
-        "--tau-ref", str(2.0 ** -13)]
+FAST = ["--n", "25", "--tau-list", "0.125,0.0625,0.03125,0.015625"]
 
 
 def parse_csv(text):
@@ -84,7 +83,6 @@ def test_convergence_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scheme = rk2\nn = 50\n"
                    "tau_list = 0.125,0.0625,0.03125,0.015625\n"
-                   f"tau_ref = {2.0 ** -13}\n"
                    f"out = {tmp_path / 'a.csv'}\n")
     code, stdout, _ = run(["convergence", "--config", str(cfg), "--n", "25"],
                           capsys)
@@ -97,7 +95,6 @@ def test_convergence_config_file_applies_when_no_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scheme = euler\nn = 25\n"
                    "tau_list = 0.125,0.0625,0.03125,0.015625\n"
-                   f"tau_ref = {2.0 ** -13}\n"
                    f"out = {tmp_path / 'b.csv'}\n")
     code, _, _ = run(["convergence", "--config", str(cfg)], capsys)
     assert code == 0
@@ -373,8 +370,15 @@ def test_solve_nondivisible_tau_exit_2(capsys):
     (["solve", "--T", "inf"], "does not divide T=inf"),
     (["solve", "--tau", "nan"], "tau=nan does not divide T=1"),
     (["solve", "--nu", "nan"], "nu must be positive and finite"),
+    # 4 nu/h^2 + 1/h overflows, though for 4e302 every band is finite
+    (["probe", "relbound", "--nu", "1e307"], "nu must be positive and finite"),
+    (["solve", "--nu", "1e307", "--n", "10"], "nu must be positive and finite"),
+    (["probe", "smoothing", "--nu", "1e307"], "nu must be positive and finite"),
+    (["convergence", "--nu", "4e302"], "nu must be positive and finite"),
+    (["convergence", "--nu", "1e290"], "Gershgorin radius 6.4e+295 of B - A"),
+    (["solve", "--scheme", "euler", "--c", "-5"], "node c must be in (0, 1], got -5.0"),
+    (["check-order", "--scheme", "rk3paper", "--c", "2"], "node c must be in (0, 1], got 2.0"),
     (["convergence", "--tau-list", "0.5,0.25,0.125,0"], "tau=0 does not divide T=1"),
-    (["convergence", "--tau-ref", "0"], "tau_ref=0 does not divide T=1"),
     (["convergence", "--T", "nan"], "does not divide T=nan"),
     (["probe", "smoothing", "--gamma", "nan"], "gamma must be"),
     (["probe", "fourier", "--beta", "nan"], "beta must be finite"),
@@ -387,6 +391,15 @@ def test_bad_number_exit_2_names_setting(capsys, argv, fragment):
         code = exc.code
     captured = capsys.readouterr()
     assert code == 2 and fragment in captured.err and captured.out == ""
+
+
+def test_tau_ref_flag_is_gone(capsys):
+    """The reference step is derived from the stencil; no flag sets it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--tau-ref", "1e-5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.err.startswith("usage: exprk convergence [-h]")
+    assert "exprk convergence: error: unrecognized arguments: --tau-ref 1e-5" in captured.err
 
 
 SPEC_FLAGS = {"--scheme": ExperimentSpec.scheme, "--c": ExperimentSpec.c,
@@ -593,8 +606,7 @@ def test_config_and_tableau_files_share_one_grammar(tmp_path, capsys, kind):
 # One value per config key, each different from what the FAST run uses.
 KEY_VALUES = {
     "scheme": "euler", "c": "0.75", "n": "20", "nu": "0.1", "T": "0.5",
-    "tau_list": "0.25,0.125,0.0625,0.03125", "tau_ref": str(2.0 ** -14),
-    "out": "other.csv", "tableau": "scheme.tab",
+    "tau_list": "0.25,0.125,0.0625,0.03125", "out": "other.csv", "tableau": "scheme.tab",
 }
 
 
@@ -604,7 +616,7 @@ def test_config_key_equals_its_flag(tmp_path, capsys, monkeypatch, key):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "scheme.tab").write_text(RK3_FILE)
     base = {"scheme": "rk2", "n": "25", "tau_list": "0.125,0.0625,0.03125,0.015625",
-            "tau_ref": str(2.0 ** -13), "out": "study.csv"}
+            "out": "study.csv"}
     value, flag = KEY_VALUES[key], "--" + key.replace("_", "-")
     out = tmp_path / (value if key == "out" else base["out"])
     flags = [arg for k, v in base.items() if k != key
@@ -644,7 +656,7 @@ def test_config_file_value_is_cast(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 25\nc = 0.75\nscheme = rk2\n"
                    "tau_list = 0.125, 0.0625, 0.03125, 0.015625\n"
-                   f"tau_ref = {2.0 ** -13}\nout = {tmp_path / 'c.csv'}\n")
+                   f"out = {tmp_path / 'c.csv'}\n")
     code, _, _ = run(["convergence", "--config", str(cfg)], capsys)
     assert code == 0
     text = (tmp_path / "c.csv").read_text()
@@ -652,8 +664,9 @@ def test_config_file_value_is_cast(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, key", [("nu = two", "nu"), ("norms = l2", "norms"),
+                                       ("tau_ref = 1e-5", "tau_ref"),
                                        ("n" + "1" * 5000 + " = 3", "n" + "1" * 5000)],
-                         ids=["bad-value", "removed-key", "long-key"])
+                         ids=["bad-value", "removed-key", "removed-tau-ref", "long-key"])
 def test_config_bad_line_exit_2_names_key_and_file(tmp_path, capsys, line, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"n = 25\n{line}\n")

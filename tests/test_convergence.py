@@ -13,6 +13,7 @@ from exprk.convergence import (FLAG_IDENTICAL, FLAG_OK, FLAG_UNSTABLE, NORMS,
                                render_csv, run_experiment, write_csv)
 from exprk.errors import InsufficientDataError, ParameterError
 from exprk.tableau_io import parse_tableau
+from exprk.tableaus import exponential_euler
 from test_cli import parse_csv
 
 
@@ -64,10 +65,10 @@ def test_spec_rejects_nondivisible_tau():
         ExperimentSpec(T=1.0, tau_list=(0.3, 0.15, 0.075, 0.0375)).validate()
 
 
-def test_spec_rejects_coarse_reference():
-    with pytest.raises(ParameterError):
-        ExperimentSpec(tau_list=(0.25, 0.125, 0.0625, 0.03125),
-                       tau_ref=0.01).validate()
+def test_node_c_outside_0_1_is_refused_for_every_scheme_and_tableau():
+    for kw in ({"scheme": "euler"}, {"scheme": "rk3paper"}, {"tableau": exponential_euler()}):
+        with pytest.raises(ParameterError, match=r"^node c must be in \(0, 1\], got 2.0$"):
+            ExperimentSpec(c=2.0, **kw).resolve_tableau()
 
 
 def test_spec_defaults_match_testbed():
@@ -79,8 +80,7 @@ def test_spec_defaults_match_testbed():
 
 # ------------------------------------------------------------ experiments
 
-SMALL = dict(n_inner=25, tau_list=tuple(2.0 ** -k for k in range(3, 8)),
-             tau_ref=2.0 ** -13)
+SMALL = dict(n_inner=25, tau_list=tuple(2.0 ** -k for k in range(3, 8)))
 
 
 def test_run_experiment_small_grid_orders():
@@ -90,17 +90,7 @@ def test_run_experiment_small_grid_orders():
     assert np.all(np.diff([r.err_l2 for r in rep.rows]) < 0)
 
 
-def test_run_experiment_reference_consistency():
-    # halving tau_ref moves the measured errors by well under 1%
-    a = run_experiment(ExperimentSpec(scheme="euler", **SMALL))
-    b = run_experiment(ExperimentSpec(scheme="euler",
-                                      **{**SMALL, "tau_ref": 2.0 ** -14}))
-    for ra, rb in zip(a.rows, b.rows):
-        assert abs(ra.err_l2 - rb.err_l2) <= 1e-2 * ra.err_l2
-
-
 def test_run_experiment_custom_tableau_overrides_scheme():
-    from exprk.tableaus import exponential_euler
     rep = run_experiment(ExperimentSpec(scheme="rk3paper",
                                         tableau=exponential_euler(), **SMALL))
     assert rep.scheme == "euler"
@@ -195,14 +185,13 @@ def test_emit_csv_bad_path():
         write_csv(render_csv(rep), "/no/such/dir/out.csv")
 
 
-def test_identical_flag_when_error_is_zero():
-    # comparing a scheme against itself yields exactly zero error
-    from exprk import discretize, stepping
-    from exprk.tableaus import exponential_euler
-    g = discretize.build_grid(10)
-    ops = discretize.build_operators(g, 0.2)
-    u = stepping.solve(exponential_euler(), ops, discretize.initial_data(g),
-                       1.0, 0.25).final
-    norms = discretize.discrete_norms(g, u - u)
-    flag = FLAG_OK if norms.linf > 0.0 else FLAG_IDENTICAL
-    assert flag == FLAG_IDENTICAL
+def test_identical_flag_when_error_is_zero(monkeypatch):
+    # a reference that is the smallest tau's own final state leaves that row no error
+    spec = ExperimentSpec(scheme="euler", **SMALL)
+
+    def own_final(ops, u0, T, tau_ref):
+        return stepping.solve(spec.resolve_tableau(), ops, u0, T, spec.tau_list[-1]).final
+    monkeypatch.setattr(stepping, "solve_reference_rk4", own_final)
+    rep = run_experiment(spec)
+    assert [r.flag for r in rep.rows] == [FLAG_OK] * 4 + [FLAG_IDENTICAL]
+    assert rep.fitted_order == fit_order(rep.rows[:-1])[0]

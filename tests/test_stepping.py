@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from exprk import matfuncs, probes, stepping
-from exprk.discretize import OperatorPair, build_grid, build_operators, initial_data
+from exprk.discretize import (OperatorPair, build_grid, build_operators, discrete_norms,
+                              initial_data)
 from exprk.errors import ContractError, DimensionError, InstabilityError, ParameterError
 from exprk.matfuncs import expm, phi_combination, phi_values, sym_eigen
 from exprk.stepping import (Stepper, default_reference_step, solve,
@@ -683,6 +684,31 @@ def test_default_reference_step_bounds():
     assert tau_ref <= 2.0 ** -16 + 1e-18
     assert tau_ref <= 0.9 * 2.7 / rho
     assert abs(1.0 / tau_ref - round(1.0 / tau_ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("ops, radius", [
+    (OperatorPair(A=np.full((2, 2), 1e308), B=np.zeros((2, 2)), nu=0.2), "inf"),  # sums overflow
+    (OperatorPair(A=np.full((2, 2), np.nan), B=np.zeros((2, 2)), nu=0.2), "nan"),
+    (build_operators(build_grid(399), 1e290), "6.4e+295"),  # T/bound ~ 2.6e295 >= 2^48
+], ids=["overflow", "nan", "past-2^48"])
+def test_default_reference_step_names_the_radius_it_cannot_serve(ops, radius):
+    with np.errstate(over="ignore"), pytest.raises(ParameterError) as exc:
+        default_reference_step(ops, 1.0)
+    assert str(exc.value) == (f"the Gershgorin radius {radius} of B - A leaves no RK4 reference "
+                              "step that divides T=1 into fewer than 2^48 steps")
+
+
+def test_rk4_reference_at_half_the_step_moves_study_errors_under_1pct():
+    # |err(tau_ref) - err(tau_ref / 2)| <= ||u_ref(tau_ref) - u_ref(tau_ref / 2)|| for any run,
+    # so a shift under 1% of exponential Euler's smallest error (n = 25, tau = 2^-7) moves
+    # no error of that study by more
+    g = build_grid(25)
+    ops, u0 = build_operators(g, 0.2), initial_data(g)
+    tau_ref = default_reference_step(ops, 1.0)
+    u_ref = solve_reference_rk4(ops, u0, 1.0, tau_ref)
+    shift = discrete_norms(g, u_ref - solve_reference_rk4(ops, u0, 1.0, tau_ref / 2)).l2
+    err = discrete_norms(g, solve(exponential_euler(), ops, u0, 1.0, 2.0 ** -7).final - u_ref).l2
+    assert 0.0 < shift <= 1e-2 * err
 
 
 def dense_gershgorin(g, nu, rows=256):
