@@ -69,6 +69,13 @@ class OperatorPair:
         return Q.T @ self.B @ Q
 
     @cached_property
+    def mirror_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, X), cached, on a build_operators pair: order lists A's modes even about x = 1/2
+        (eigh's columns 0, 2, ...), then the odd ones; X = Q_e^T B Q_o (see exprk.stepping)."""
+        Q, n = self.eigen.eigenvectors, self.grid.n_inner
+        return np.r_[0:n:2, 1:n:2], Q[:, ::2].T @ apply_B(self.grid, Q[:, 1::2])
+
+    @cached_property
     def phi_memo(self) -> dict:
         """matfuncs.phi_matrices' memo for this pair's Stepper builds: tau/2 reuses tau's levels."""
         return {}

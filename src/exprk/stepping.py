@@ -5,8 +5,12 @@ explicit exponential Runge-Kutta scheme is a fixed matrix R(tau), built once
 per (tableau, A, tau) by running the stage recurrence on the identity. For a
 symmetric A = Q diag(lam) Q^T it runs in A's eigenbasis (Hochbruck & Ostermann,
 Acta Numerica 2010, sec. 2), where every phi matrix is a diagonal phi_k(t lam):
-a build there costs its s - 1 GEMMs B^ U_i plus O(n^2) row scalings and
-in-place sums in s n x n arrays, each phi_0 + T_1 + T_2 + ... left to right.
+a build there costs its s - 1 products B^ U_i, B^ = Q^T B Q, plus O(n^2) row scalings
+and in-place sums in s n x n arrays, each phi_0 + T_1 + ... left to right. On a build_operators
+pair A is persymmetric and B anti-persymmetric, so A's modes fall in two mirror classes, even
+(k = 1, 3, ...) and odd about x = 1/2, and B^ couples only modes of opposite classes (Cantoni &
+Butler 1976): in class order B^ = [[0, X], [-X^T, 0]] with (order, X) = ops.mirror_classes,
+and each product B^ U is two half-size GEMMs.
 Any other A takes its phi matrices from one matfuncs.phi_matrices call, in
 which nodes of one power-of-two family (1 and 1/2 for rk2(1/2) and rk3paper)
 share one squaring chain for phi_0 and one doubling chain for the higher phi.
@@ -46,7 +50,7 @@ class SolveResult:
 
 
 class Stepper:
-    """Step u -> Q R Q^T u: Q is A's eigenvectors for a symmetric A, else I."""
+    """Step u -> Q R Q^T u: Q is A's eigenvectors (R in self.order) for a symmetric A, else I."""
 
     def __init__(self, tableau: Tableau, ops: OperatorPair, tau: float):
         if not 0 < tau < math.inf:
@@ -54,17 +58,35 @@ class Stepper:
 
         # phi_k(scale * Z), Z = -tau * A, for every (k, scale) in tableau.phi_keys.
         # In A's eigenbasis it is a diagonal, held as a column, so applying it
-        # is a row scaling.
-        diagonal = ops.eigen is not None
+        # is a row scaling. A build_operators pair orders that basis by class.
+        diagonal, self.order, product = ops.eigen is not None, slice(None), np.matmul
         if diagonal:
-            lam, self.Q, B = ops.eigen.eigenvalues, ops.eigen.eigenvectors, ops.B_eigen
+            lam, self.Q, apply = ops.eigen.eigenvalues, ops.eigen.eigenvectors, np.multiply
+            if ops.grid is None:
+                B = ops.B_eigen
+            else:  # B^ = [[0, X], [-X^T, 0]] in class order, held as X = B
+                self.order, B = ops.mirror_classes
+                lam, m = lam[self.order], len(B)
+
+                def product(X, S, out):  # B^ S = [X S_o; -X^T S_e], S_e, S_o: S's class rows
+                    np.matmul(X, S[m:], out=out[:m])
+                    np.negative(np.matmul(X.T, S[:m], out=out[m:]), out=out[m:])
+                    return out
+
+                # col * B^ copies X into whole blocks and multiplies once: a ufunc on a block view
+                # would take three 64 KB iterator buffers, 0.15 n x n at n = 399
+                def apply(col, M, out):
+                    if M is B:
+                        out[:m, :m], out[m:, m:], out[:m, m:], out[m:, :m] = 0.0, 0.0, B, B.T
+                        np.negative(out[m:], out=out[m:])
+                        M = out
+                    return np.multiply(col, M, out=out)
             phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in tableau.phi_keys}
-            apply = np.multiply
         else:
             A, B = ops.A, ops.B
             self.Q, apply = np.eye(len(A)), np.matmul
             phi = phi_matrices(-tau * A, tableau.phi_keys, ops.phi_memo)
-        n, zero = len(B), np.zeros_like(phi[0, 1.0])
+        n, zero = len(self.Q), np.zeros_like(phi[0, 1.0])
         # A build holds s n x n arrays of its own (three for rk3paper): page faults on
         # fresh n x n temporaries took ~2.5 of ~11 ms of an rk3paper build at n = 399.
         spare = np.empty((n, n))
@@ -82,7 +104,7 @@ class Stepper:
         BU = [B]  # U_1 = I since c_1 = 0
         for i, ci in enumerate(tableau.c[1:], start=2):
             a_i = [(tableau.a[i, j], BU[j - 1]) for j in range(1, i) if (i, j) in tableau.a]
-            BU.append(np.matmul(B, S := stage(ci, a_i), out=spare))
+            BU.append(product(B, S := stage(ci, a_i), out=spare))
             spare = S
         # R = phi_0 + T_1 + ... as T_1 + phi_0 + ... (one sum either way round), phi_0 added
         # on the diagonal (step n + 1) or whole; no BU_j is read again, so T_j overwrites it.
@@ -95,10 +117,15 @@ class Stepper:
         u = np.asarray(u, dtype=float)
         if u.shape != self.R.shape[:1]:
             raise DimensionError(f"state shape {u.shape} does not match operators ({len(self.R)})")
-        return self.Q.T @ u
+        return (self.Q.T @ u)[self.order]
+
+    def from_basis(self, v):
+        w = np.empty_like(v)
+        w[self.order] = v
+        return self.Q @ w
 
     def step(self, u):
-        return self.Q @ (self.R @ self.to_basis(u))
+        return self.from_basis(self.R @ self.to_basis(u))
 
 
 def check_divides(T, tau, what="tau") -> int:
@@ -128,7 +155,7 @@ def solve(tableau: Tableau, ops: OperatorPair, u0, T: float, tau: float) -> Solv
             v = stepper.R @ v
             if not np.isfinite(v).all():
                 raise InstabilityError(i + 1)
-    return SolveResult(final=stepper.Q @ v, steps=N, tau=tau)
+    return SolveResult(final=stepper.from_basis(v), steps=N, tau=tau)
 
 
 def spectral_radius_estimate(L) -> float:

@@ -180,8 +180,36 @@ def test_eigen_reads_only_A_and_B_eigen_only_B(monkeypatch):
     ops = build_operators(build_grid(6), 0.2)
     ops.eigen
     assert reads == ["A"]
+    ops.mirror_classes  # B Q_o from apply_B, no dense B
+    assert reads == ["A"]
     ops.B_eigen
     assert reads == ["A", "B"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 25, 399])
+def test_mirror_classes_split_eigh_modes_by_parity(n):
+    # J flips the grid: A's eigenvector q_k is even (J q = q) or odd (J q = -q) about x = 1/2,
+    # and the order lists the even ones first
+    ops = build_operators(build_grid(n), 0.2)
+    order, X = ops.mirror_classes
+    Q, m = ops.eigen.eigenvectors, (n + 1) // 2
+    parity = np.sign(np.einsum("jk,jk->k", Q, Q[::-1]))
+    assert sorted(order) == list(range(n)) and X.shape == (m, n - m)
+    assert np.array_equal(parity[order], np.r_[np.ones(m), -np.ones(n - m)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 25, 399])
+def test_mirror_classes_hold_the_cross_block_of_the_dense_B_eigen(n):
+    # in class order Q^T B Q = [[0, X], [-X^T, 0]]: X is its cross block, and the dropped
+    # same-class entries are rounding noise
+    ops = build_operators(build_grid(n), 0.2)
+    order, X = ops.mirror_classes
+    Q, m = ops.eigen.eigenvectors, len(X)
+    dense = (Q.T @ ops.B @ Q)[np.ix_(order, order)]
+    tol = 1e-12 * np.abs(dense).max()
+    assert np.abs(X - dense[:m, m:]).max() <= tol
+    assert np.abs(-X.T - dense[m:, :m]).max() <= tol
+    assert max(np.abs(dense[:m, :m]).max(), np.abs(dense[m:, m:]).max(initial=0.0)) <= tol
 
 
 def test_replace_on_an_unread_pair_flips_A_and_drops_grid():

@@ -288,17 +288,25 @@ def test_memo_lives_with_its_pair(monkeypatch):
 
 def reference_propagator(tab, ops, tau):
     """R(tau) by the plain stage recurrence, with its own arithmetic: phi_0 as
-    a dense matrix (a dense diagonal in A's eigenbasis), I from np.eye, and
-    every sum out of place, left to right. Stepper adds the same terms in the
-    same order, in place and on the diagonal, so it must match bit for bit."""
-    n = len(ops.A)
+    a dense matrix (a dense diagonal in A's eigenbasis), I from np.eye, a
+    build_operators pair's B^ dense in class order with B^ U stacked from its
+    two blocks, and every sum out of place, left to right. Stepper adds the same
+    terms in the same order, in place and on the diagonal, so it must match bit for bit."""
+    n, order = len(ops.A), slice(None)
     I = np.eye(n)
+    if ops.grid is not None:  # class order: B^ = [[0, X], [-X^T, 0]], B^ U by its blocks
+        order, X = ops.mirror_classes
+        m = len(X)
+        B = np.block([[np.zeros((m, m)), X], [-X.T, np.zeros((n - m, n - m))]])
+        times_B = lambda U: np.vstack([X @ U[m:], -(X.T @ U[:m])])
+    else:
+        B = ops.B if ops.eigen is None else ops.B_eigen
+        times_B = lambda U: B @ U
     if ops.eigen is not None:
-        lam, B = ops.eigen.eigenvalues, ops.B_eigen
+        lam = ops.eigen.eigenvalues[order]
         phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in tab.phi_keys}
         apply, exp_at = np.multiply, lambda c: phi[0, c] * I
     else:
-        B = ops.B
         phi, apply = matfuncs.phi_matrices(-tau * ops.A, tab.phi_keys), np.matmul
         exp_at = lambda c: phi[0, c]
     zero = np.zeros_like(phi[0, 1.0])
@@ -308,7 +316,7 @@ def reference_propagator(tab, ops, tau):
         for j in range(1, i):
             if (i, j) in tab.a:
                 Ui = Ui + apply(tau * tab.a[i, j].combine(phi, zero), BU[j - 1])
-        BU.append(B @ Ui)
+        BU.append(times_B(Ui))
     R = exp_at(1.0)
     for bi, BUi in zip(tab.b, BU):
         R = R + apply(tau * bi.combine(phi, zero), BUi)
@@ -332,16 +340,21 @@ PINNED = [resolve_scheme("euler", 0.5), resolve_scheme("rk2", 0.5), resolve_sche
 
 @functools.lru_cache(maxsize=None)
 def pinned_ops(path):
-    """The n = 399 paper testbed, or the split A' = A - B/2 at n = 100."""
+    """The n = 399 paper testbed, its matrices given by hand (the dense B_eigen path), or
+    the split A' = A - B/2 at n = 100."""
     if path == "testbed":
         return build_operators(build_grid(399), 0.2)
+    if path == "given":
+        base = build_operators(build_grid(399), 0.2)
+        return OperatorPair(A=base.A, B=base.B, nu=base.nu)
     base = build_operators(build_grid(100), 0.2)
     return OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
 
 
 @pytest.mark.parametrize("tab", PINNED, ids=[t.name for t in PINNED[:4]] + ["gappy"])
-@pytest.mark.parametrize("path, taus", [("testbed", range(3, 11)), ("nonsym-split", range(3, 7))],
-                         ids=["testbed", "nonsym-split"])
+@pytest.mark.parametrize("path, taus", [("testbed", range(3, 11)), ("given", range(3, 11)),
+                                        ("nonsym-split", range(3, 7))],
+                         ids=["testbed", "given", "nonsym-split"])
 def test_propagator_is_bit_identical_to_plain_recurrence(path, taus, tab):
     ops = pinned_ops(path)
     assert (ops.eigen is None) == (path == "nonsym-split")
@@ -369,7 +382,7 @@ def test_spectral_build_holds_three_arrays():
     # rk3paper in A's eigenbasis: the spare buffer and B^ U_2, B^ U_3, R formed in them
     n = 399
     ops = build_operators(build_grid(n), 0.2)
-    ops.B_eigen
+    ops.mirror_classes
     tracemalloc.start()
     try:
         Stepper(third_order(), ops, 2.0 ** -5)
@@ -377,6 +390,35 @@ def test_spectral_build_holds_three_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 1.05 * 3 * n * n * 8, peak / (n * n * 8)
+
+
+@pytest.mark.parametrize("tau", [2.0 ** -4, 2.0 ** -10])
+@pytest.mark.parametrize("scheme", ["euler", "rk2", "rk3paper"])
+def test_class_path_solve_matches_full_B_eigen_path(scheme, tau):
+    # one pair steps with X in class order, the same matrices given by hand with the dense B^.
+    # Over T = 1 they part by up to 1.1e-13 (rk2 at 2^-10, 1024 steps), while each lies
+    # 3.6e-11 from an extended-precision build on the exact sine basis: eigh's lam_1 sets that
+    g = build_grid(399)
+    grid_pair, u0 = build_operators(g, 0.2), initial_data(g)
+    given = OperatorPair(A=grid_pair.A, B=grid_pair.B, nu=0.2)
+    tab = resolve_scheme(scheme, 0.5)
+    got, want = (solve(tab, ops, u0, 1.0, tau).final for ops in (grid_pair, given))
+    assert np.abs(got - want).max() <= 2e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("scheme, products", [("euler", 0), ("rk3paper", 4)])
+def test_class_path_build_multiplies_half_size_blocks_only(scheme, products, monkeypatch):
+    # every B^ U is X S_o and X^T S_e, inner dimension <= ceil(n/2); the dense B^ is never
+    # formed, so euler, which multiplies nothing, reads no n x n B^ either
+    n = 399
+    ops = build_operators(build_grid(n), 0.2)
+    ops.mirror_classes
+    inner, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul",
+                        lambda a, b, **kw: inner.append(a.shape[-1]) or matmul(a, b, **kw))
+    monkeypatch.setattr(OperatorPair, "B_eigen", property(lambda self: pytest.fail("read B_eigen")))
+    Stepper(resolve_scheme(scheme, 0.5), ops, 2.0 ** -5)
+    assert len(inner) == products and max(inner, default=0) <= (n + 1) // 2
 
 
 def test_cached_stepper_matches_per_call_recomputation():
