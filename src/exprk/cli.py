@@ -21,7 +21,7 @@ from . import convergence, discretize, orderconditions, probes, stepping
 from .convergence import ExperimentSpec
 from .errors import ParameterError
 from .tableau_io import LocatedError, assignments, load_tableau, read_text
-from .tableaus import BUILTIN_SCHEMES, ORDER_CLAIMS
+from .tableaus import BUILTIN_SCHEMES, ORDER_CLAIMS, float_text
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -200,7 +200,7 @@ def cmd_solve(args, spec) -> int:
     tableau = spec.resolve_tableau()
     result = stepping.solve(tableau, ops, u0, spec.T, args.tau)
     norms = discretize.discrete_norms(grid, result.final)
-    print(f"scheme={tableau.name} steps={result.steps} tau={result.tau:g}")
+    print(f"scheme={tableau.name} steps={result.steps} tau={float_text(result.tau)}")
     print(" ".join(f"{nm}={getattr(norms, nm):.12g}" for nm in convergence.NORMS))
     return EXIT_OK
 

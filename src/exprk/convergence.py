@@ -17,7 +17,7 @@ import numpy as np
 from . import discretize, stepping
 from .discretize import NORMS
 from .errors import InstabilityError, InsufficientDataError, ParameterError
-from .tableaus import Tableau, resolve_scheme, second_order
+from .tableaus import Tableau, float_text, resolve_scheme, second_order
 
 FLAG_OK = "ok"
 FLAG_UNSTABLE = "unstable"
@@ -131,8 +131,8 @@ def render_csv(report: ConvergenceReport) -> str:
     fitted = " ".join(f"fitted_order_{nm}={report.fitted_order[nm]:.17g}"
                       for nm in NORMS)
     out.write(f"# {fitted}\n")
-    out.write(f"# scheme={report.scheme} n={report.n_inner} nu={report.nu:g} "
-              f"T={report.T:g} tau_ref={report.tau_ref:.17g}\n")
+    out.write(f"# scheme={report.scheme} n={report.n_inner} nu={float_text(report.nu)} "
+              f"T={float_text(report.T)} tau_ref={report.tau_ref:.17g}\n")
     return out.getvalue()
 
 

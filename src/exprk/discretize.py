@@ -56,24 +56,26 @@ class OperatorPair:
 
     @cached_property
     def eigen(self) -> SymEigen | None:
-        """A = Q diag(lam) Q^T by one sym_eigen, cached; None for a non-symmetric A."""
+        """A = Q diag(lam) Q^T by one sym_eigen, cached; None for a non-symmetric A. On a
+        build_operators pair, modes even about x = 1/2 (eigh's 0, 2, ...) come first, then odd."""
         try:
-            return sym_eigen(self.A)
+            E = sym_eigen(self.A)
         except ContractError:  # not symmetric to 1e-12 (or not finite)
             return None
+        order = np.r_[0:len(E.eigenvalues):2, 1:len(E.eigenvalues):2]
+        return E if self.grid is None else SymEigen(E.eigenvalues[order], E.eigenvectors.take(order, 1))
 
     @cached_property
     def B_eigen(self) -> np.ndarray:
-        """Q^T B Q, cached like eigen: a pair's given A and B must not change after first use."""
+        """Q^T B Q, cached like eigen: a pair's given A and B must not change after first use. On
+        a build_operators pair [[0, X], [-X^T, 0]] (Cantoni & Butler 1976), X = Q_e^T B Q_o."""
         Q = self.eigen.eigenvectors
-        return Q.T @ self.B @ Q
-
-    @cached_property
-    def mirror_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, X), cached, on a build_operators pair: order lists A's modes even about x = 1/2
-        (eigh's columns 0, 2, ...), then the odd ones; X = Q_e^T B Q_o (see exprk.stepping)."""
-        Q, n = self.eigen.eigenvectors, self.grid.n_inner
-        return np.r_[0:n:2, 1:n:2], Q[:, ::2].T @ apply_B(self.grid, Q[:, 1::2])
+        if self.grid is None:
+            return Q.T @ self.B @ Q
+        B, m = np.zeros_like(Q), (len(Q) + 1) // 2
+        X = np.matmul(Q[:, :m].T, apply_B(self.grid, Q[:, m:]), out=B[:m, m:])
+        np.negative(X.T, out=B[m:, :m])
+        return B
 
     @cached_property
     def phi_memo(self) -> dict:

@@ -236,14 +236,14 @@ def phi_matrix(k: int, M):
 
 @dataclass(frozen=True, eq=False)
 class SymEigen:
-    """Eigendecomposition M = Q diag(eigenvalues) Q^T, eigenvalues ascending."""
+    """Eigendecomposition M = Q diag(eigenvalues) Q^T, in the order its maker states."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
 def sym_eigen(M) -> SymEigen:
-    """Full eigendecomposition of a symmetric matrix.
+    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     Raises ContractError when the relative asymmetry (inf-norm) exceeds 1e-12.
     """

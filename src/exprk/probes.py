@@ -17,6 +17,7 @@ from . import discretize
 from .convergence import ExperimentSpec, write_csv
 from .errors import ContractError, DomainError, ParameterError
 from .matfuncs import is_symmetric
+from .tableaus import float_text
 
 TREND_FACTOR = 1.05
 _POWER_ITERS, _POWER_TOL = 50, 1e-10  # _power_iteration's step cap and tolerance
@@ -107,7 +108,7 @@ def smoothing_probe(ops: discretize.OperatorPair, gamma: float,
     with np.errstate(divide="ignore"):  # a t lam that underflows to 0 gives 0^g = e^-inf
         values = [float(np.exp(gamma * np.log(t * lam) - t * lam if gamma else -t * lam).max())
                   for t in t_grid]
-    return _report(t_grid, values, f"smoothing gamma={gamma:g}")
+    return _report(t_grid, values, f"smoothing gamma={float_text(gamma)}")
 
 
 def _power_iteration(apply, Y, measure) -> np.ndarray:
@@ -169,7 +170,7 @@ def relative_boundedness_probe(gamma: float, n_list: Sequence[int],
         return S * Y + (Y[..., None, :] @ U @ V)[..., 0, :]
     values = _power_iteration(gram, Y, lambda Y, W: np.sqrt(
         np.einsum("jmn,jmn->jm", np.where(by_norm, W, Y), W)))
-    return _report(n_list, values.max(axis=0), f"relbound gamma={gamma:g}")
+    return _report(n_list, values.max(axis=0), f"relbound gamma={float_text(gamma)}")
 
 
 def sine_coefficients_initial_data(k):
@@ -221,4 +222,4 @@ def fourier_beta_probe(coeffs: Callable, beta: float, N_list: Sequence[int],
         S += 2.0 * folded[1::2].sum() * x
         S -= folded.sum()
         values.append(discretize.grid_norm(S, p, h))
-    return _report(grid, values, f"fourier beta={beta:g} norm={norm}")
+    return _report(grid, values, f"fourier beta={float_text(beta)} norm={norm}")

@@ -5,12 +5,10 @@ explicit exponential Runge-Kutta scheme is a fixed matrix R(tau), built once
 per (tableau, A, tau) by running the stage recurrence on the identity. For a
 symmetric A = Q diag(lam) Q^T it runs in A's eigenbasis (Hochbruck & Ostermann,
 Acta Numerica 2010, sec. 2), where every phi matrix is a diagonal phi_k(t lam):
-a build there costs its s - 1 products B^ U_i, B^ = Q^T B Q, plus O(n^2) row scalings
-and in-place sums in s n x n arrays, each phi_0 + T_1 + ... left to right. On a build_operators
-pair A is persymmetric and B anti-persymmetric, so A's modes fall in two mirror classes, even
-(k = 1, 3, ...) and odd about x = 1/2, and B^ couples only modes of opposite classes (Cantoni &
-Butler 1976): in class order B^ = [[0, X], [-X^T, 0]] with (order, X) = ops.mirror_classes,
-and each product B^ U is two half-size GEMMs.
+a build there costs its s - 1 products B^ U_i, B^ = ops.B_eigen, plus O(n^2) row scalings
+and in-place sums in s n x n arrays, each phi_0 + T_1 + ... left to right. A build_operators
+pair's basis comes in mirror-class order, even modes about x = 1/2 first, where
+B^ = [[0, X], [-X^T, 0]], so each product B^ U is two half-size GEMMs on its blocks.
 Any other A takes its phi matrices from one matfuncs.phi_matrices call, in
 which nodes of one power-of-two family (1 and 1/2 for rk2(1/2) and rk3paper)
 share one squaring chain for phi_0 and one doubling chain for the higher phi.
@@ -37,7 +35,7 @@ import numpy as np
 from .discretize import OperatorPair, stencil_bands
 from .errors import DimensionError, InstabilityError, ParameterError
 from .matfuncs import phi_matrices, phi_values
-from .tableaus import Tableau
+from .tableaus import Tableau, float_text
 
 RK4_STABILITY_LIMIT = 2.7  # inside the real-axis stability interval (~2.785)
 
@@ -50,37 +48,24 @@ class SolveResult:
 
 
 class Stepper:
-    """Step u -> Q R Q^T u: Q is A's eigenvectors (R in self.order) for a symmetric A, else I."""
+    """Step u -> Q R Q^T u: Q is ops.eigen's eigenvectors for a symmetric A, else I."""
 
     def __init__(self, tableau: Tableau, ops: OperatorPair, tau: float):
         if not 0 < tau < math.inf:
             raise ParameterError(f"step size must be positive and finite, got {tau}")
 
-        # phi_k(scale * Z), Z = -tau * A, for every (k, scale) in tableau.phi_keys.
-        # In A's eigenbasis it is a diagonal, held as a column, so applying it
-        # is a row scaling. A build_operators pair orders that basis by class.
-        diagonal, self.order, product = ops.eigen is not None, slice(None), np.matmul
+        # phi_k(scale * Z), Z = -tau * A, for every (k, scale) in tableau.phi_keys: in A's
+        # eigenbasis a diagonal, held as a column, so applying it is a row scaling.
+        diagonal, product, apply = ops.eigen is not None, np.matmul, np.multiply
         if diagonal:
-            lam, self.Q, apply = ops.eigen.eigenvalues, ops.eigen.eigenvectors, np.multiply
-            if ops.grid is None:
-                B = ops.B_eigen
-            else:  # B^ = [[0, X], [-X^T, 0]] in class order, held as X = B
-                self.order, B = ops.mirror_classes
-                lam, m = lam[self.order], len(B)
+            lam, self.Q, B = ops.eigen.eigenvalues, ops.eigen.eigenvectors, ops.B_eigen
+            if ops.grid is not None:  # class order: B^ = [[0, X], [-X^T, 0]]
+                m = (len(B) + 1) // 2
 
-                def product(X, S, out):  # B^ S = [X S_o; -X^T S_e], S_e, S_o: S's class rows
-                    np.matmul(X, S[m:], out=out[:m])
-                    np.negative(np.matmul(X.T, S[:m], out=out[m:]), out=out[m:])
+                def product(B, S, out):  # B^ S = [X S_o; -X^T S_e], S_e, S_o: S's class rows
+                    np.matmul(B[:m, m:], S[m:], out=out[:m])
+                    np.matmul(B[m:, :m], S[:m], out=out[m:])
                     return out
-
-                # col * B^ copies X into whole blocks and multiplies once: a ufunc on a block view
-                # would take three 64 KB iterator buffers, 0.15 n x n at n = 399
-                def apply(col, M, out):
-                    if M is B:
-                        out[:m, :m], out[m:, m:], out[:m, m:], out[m:, :m] = 0.0, 0.0, B, B.T
-                        np.negative(out[m:], out=out[m:])
-                        M = out
-                    return np.multiply(col, M, out=out)
             phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in tableau.phi_keys}
         else:
             A, B = ops.A, ops.B
@@ -117,15 +102,10 @@ class Stepper:
         u = np.asarray(u, dtype=float)
         if u.shape != self.R.shape[:1]:
             raise DimensionError(f"state shape {u.shape} does not match operators ({len(self.R)})")
-        return (self.Q.T @ u)[self.order]
-
-    def from_basis(self, v):
-        w = np.empty_like(v)
-        w[self.order] = v
-        return self.Q @ w
+        return self.Q.T @ u
 
     def step(self, u):
-        return self.from_basis(self.R @ self.to_basis(u))
+        return self.Q @ (self.R @ self.to_basis(u))
 
 
 def check_divides(T, tau, what="tau") -> int:
@@ -134,7 +114,8 @@ def check_divides(T, tau, what="tau") -> int:
     ratio = T / tau if tau > 0 else math.inf
     N = round(ratio) if ratio < 2.0 ** 48 else 0
     if N < 1 or abs(ratio - N) > max(1e-9, N * 2.0 ** -50):
-        raise ParameterError(f"{what}={tau:g} does not divide T={T:g} into fewer than 2^48 steps")
+        raise ParameterError(f"{what}={float_text(tau)} does not divide T={float_text(T)} into fewer "
+                             "than 2^48 steps")
     return N
 
 
@@ -155,7 +136,7 @@ def solve(tableau: Tableau, ops: OperatorPair, u0, T: float, tau: float) -> Solv
             v = stepper.R @ v
             if not np.isfinite(v).all():
                 raise InstabilityError(i + 1)
-    return SolveResult(final=stepper.from_basis(v), steps=N, tau=tau)
+    return SolveResult(final=stepper.Q @ v, steps=N, tau=tau)
 
 
 def spectral_radius_estimate(L) -> float:

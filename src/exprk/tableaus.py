@@ -26,6 +26,11 @@ ORDER_CLAIMS = {
 }
 
 
+def float_text(x: float) -> str:
+    """x in shortest round-trip form, a trailing '.0' dropped: 0.2, 1, 0.3333333333333333."""
+    return repr(float(x)).removesuffix(".0")
+
+
 @dataclass(frozen=True)
 class PhiTerm:
     scale: float   # node multiplier: argument is scale * Z with Z = -tau*A
@@ -125,7 +130,7 @@ def second_order(c: float) -> Tableau:
     if not 0.0 < c <= 1.0:
         raise ParameterError(f"node c must be in (0, 1], got {c}")
     return Tableau(
-        name=f"rk2(c={c:g})",
+        name=f"rk2(c={float_text(c)})",
         c=(0.0, c),
         a={(2, 1): _combo((c, 1, c))},
         b=(

@@ -16,7 +16,7 @@ from exprk import cli, convergence, orderconditions, probes, stepping, tableaus
 from exprk.cli import main, read_config
 from exprk.convergence import ConvergenceRow, ExperimentSpec
 from exprk.tableau_io import LocatedError, parse_tableau
-from exprk.tableaus import ORDER_CLAIMS, exponential_euler, third_order
+from exprk.tableaus import BUILTIN_SCHEMES, ORDER_CLAIMS, exponential_euler, third_order
 
 FAST = ["--n", "25", "--tau-list", "0.125,0.0625,0.03125,0.015625"]
 
@@ -135,8 +135,9 @@ def test_convergence_deterministic_reruns(tmp_path, capsys):
 
 # ------------------------------------------------------------ check-order
 
-def test_check_order_rk3_pass(capsys):
-    code, stdout, _ = run(["check-order", "--scheme", "rk3paper"], capsys)
+@pytest.mark.parametrize("scheme", BUILTIN_SCHEMES)
+def test_check_order_builtin_meets_its_claims(capsys, scheme):
+    code, stdout, _ = run(["check-order", "--scheme", scheme], capsys)
     assert code == 0 and "condition" in stdout
 
 
@@ -661,6 +662,24 @@ def test_config_file_value_is_cast(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "c.csv").read_text()
     assert "scheme=rk2(c=0.75) n=25" in text and len(parse_csv(text)) == 4
+
+
+def test_footer_and_labels_record_settings_in_round_trip_form(tmp_path, capsys):
+    # each setting parses back to the float the run used, where %g would keep six digits
+    out = tmp_path / "study.csv"
+    code, _, _ = run(["convergence", "--scheme", "rk2", "--c", "0.3333333", "--nu", "0.1234567",
+                      "--T", "0.30000000000000004", "--n", "25",
+                      "--tau-list", "0.1,0.05,0.025,0.0125", "--out", str(out)], capsys)
+    assert code == 0
+    footer = dict(kv.split("=", 1) for kv in out.read_text().splitlines()[-1][2:].split())
+    assert footer["scheme"] == "rk2(c=0.3333333)"
+    assert float(footer["nu"]) == 0.1234567 and float(footer["T"]) == 0.30000000000000004
+    code, stdout, _ = run(["probe", "smoothing", "--gamma", "0.123456789", "--n", "25"], capsys)
+    assert code == 0 and stdout.startswith("smoothing gamma=0.123456789:")
+    code, stdout, _ = run(["solve", "--tau", "0.0009765625"], capsys)
+    assert code == 0 and "steps=1024 tau=0.0009765625\n" in stdout
+    code, _, stderr = run(["solve", "--tau", "0.3333333"], capsys)
+    assert code == 2 and "tau=0.3333333 does not divide T=1 " in stderr
 
 
 @pytest.mark.parametrize("line, key", [("nu = two", "nu"), ("norms = l2", "norms"),

@@ -154,12 +154,16 @@ def test_grid_pair_forms_A_B_and_L_fresh_on_each_read_and_keeps_none():
 
 
 def test_writing_into_a_read_A_changes_neither_the_next_read_nor_eigen():
+    # eigen is eigh's, bit for bit, with its columns in class order: 0, 2, ..., then 1, 3, ...
+    # Q keeps eigh's C layout, which sets the BLAS paths, and so the bits, of B^ and R
     g = build_grid(9)
     ops, want = build_operators(g, 0.2), sym_eigen(dense_stencils(g, 0.2)[0])
     ops.A[:] = np.nan
+    order = np.r_[0:9:2, 1:9:2]
     assert ops.A.tobytes() == dense_stencils(g, 0.2)[0].tobytes()
-    assert np.array_equal(ops.eigen.eigenvalues, want.eigenvalues)
-    assert np.array_equal(ops.eigen.eigenvectors, want.eigenvectors)
+    assert np.array_equal(ops.eigen.eigenvalues, want.eigenvalues[order])
+    assert np.array_equal(ops.eigen.eigenvectors, want.eigenvectors[:, order])
+    assert ops.eigen.eigenvectors.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [2, 3, 25, 399])
@@ -170,7 +174,7 @@ def test_L_is_B_minus_A_bit_for_bit(n):
     assert given.L.tobytes() == (given.B - given.A).tobytes()
 
 
-def test_eigen_reads_only_A_and_B_eigen_only_B(monkeypatch):
+def test_eigen_reads_only_A_and_B_eigen_no_dense_B(monkeypatch):
     reads, read = [], OperatorPair.__getattr__
 
     def spy(self, name):
@@ -180,36 +184,31 @@ def test_eigen_reads_only_A_and_B_eigen_only_B(monkeypatch):
     ops = build_operators(build_grid(6), 0.2)
     ops.eigen
     assert reads == ["A"]
-    ops.mirror_classes  # B Q_o from apply_B, no dense B
+    ops.B_eigen  # B Q_o from apply_B
     assert reads == ["A"]
-    ops.B_eigen
-    assert reads == ["A", "B"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 25, 399])
-def test_mirror_classes_split_eigh_modes_by_parity(n):
-    # J flips the grid: A's eigenvector q_k is even (J q = q) or odd (J q = -q) about x = 1/2,
-    # and the order lists the even ones first
+def test_grid_eigen_lists_even_modes_then_odd(n):
+    # J flips the grid: A's eigenvector q_k is even (J q = q) or odd (J q = -q) about x = 1/2;
+    # the even ones come first, each class in ascending order
     ops = build_operators(build_grid(n), 0.2)
-    order, X = ops.mirror_classes
-    Q, m = ops.eigen.eigenvectors, (n + 1) // 2
+    lam, Q, m = ops.eigen.eigenvalues, ops.eigen.eigenvectors, (n + 1) // 2
     parity = np.sign(np.einsum("jk,jk->k", Q, Q[::-1]))
-    assert sorted(order) == list(range(n)) and X.shape == (m, n - m)
-    assert np.array_equal(parity[order], np.r_[np.ones(m), -np.ones(n - m)])
+    assert np.array_equal(parity, np.r_[np.ones(m), -np.ones(n - m)])
+    assert np.all(np.diff(lam[:m]) > 0) and np.all(np.diff(lam[m:]) > 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 25, 399])
-def test_mirror_classes_hold_the_cross_block_of_the_dense_B_eigen(n):
-    # in class order Q^T B Q = [[0, X], [-X^T, 0]]: X is its cross block, and the dropped
-    # same-class entries are rounding noise
+def test_grid_B_eigen_is_the_class_ordered_dense_product(n):
+    # in class order Q^T B Q = [[0, X], [-X^T, 0]]: the same-class blocks are exactly 0, and
+    # the dense product's are rounding noise
     ops = build_operators(build_grid(n), 0.2)
-    order, X = ops.mirror_classes
-    Q, m = ops.eigen.eigenvectors, len(X)
-    dense = (Q.T @ ops.B @ Q)[np.ix_(order, order)]
-    tol = 1e-12 * np.abs(dense).max()
-    assert np.abs(X - dense[:m, m:]).max() <= tol
-    assert np.abs(-X.T - dense[m:, :m]).max() <= tol
-    assert max(np.abs(dense[:m, :m]).max(), np.abs(dense[m:, m:]).max(initial=0.0)) <= tol
+    Q, B_hat, m = ops.eigen.eigenvectors, ops.B_eigen, (n + 1) // 2
+    dense = Q.T @ dense_stencils(ops.grid, 0.2)[1] @ Q
+    assert not B_hat[:m, :m].any() and not B_hat[m:, m:].any()
+    assert np.array_equal(B_hat[m:, :m], -B_hat[:m, m:].T)
+    assert np.abs(B_hat - dense).max() <= 1e-12 * np.abs(B_hat).max()
 
 
 def test_replace_on_an_unread_pair_flips_A_and_drops_grid():

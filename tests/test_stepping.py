@@ -289,21 +289,17 @@ def test_memo_lives_with_its_pair(monkeypatch):
 def reference_propagator(tab, ops, tau):
     """R(tau) by the plain stage recurrence, with its own arithmetic: phi_0 as
     a dense matrix (a dense diagonal in A's eigenbasis), I from np.eye, a
-    build_operators pair's B^ dense in class order with B^ U stacked from its
-    two blocks, and every sum out of place, left to right. Stepper adds the same
-    terms in the same order, in place and on the diagonal, so it must match bit for bit."""
-    n, order = len(ops.A), slice(None)
+    build_operators pair's B^ U stacked from B^'s two cross blocks (class order), and
+    every sum out of place, left to right. Stepper adds the same terms in the same
+    order, in place and on the diagonal, so it must match bit for bit."""
+    n, m = len(ops.A), (len(ops.A) + 1) // 2
     I = np.eye(n)
-    if ops.grid is not None:  # class order: B^ = [[0, X], [-X^T, 0]], B^ U by its blocks
-        order, X = ops.mirror_classes
-        m = len(X)
-        B = np.block([[np.zeros((m, m)), X], [-X.T, np.zeros((n - m, n - m))]])
-        times_B = lambda U: np.vstack([X @ U[m:], -(X.T @ U[:m])])
-    else:
-        B = ops.B if ops.eigen is None else ops.B_eigen
-        times_B = lambda U: B @ U
+    B = ops.B if ops.eigen is None else ops.B_eigen
+    times_B = lambda U: B @ U
+    if ops.grid is not None:  # B^ = [[0, X], [-X^T, 0]]
+        times_B = lambda U: np.vstack([B[:m, m:] @ U[m:], B[m:, :m] @ U[:m]])
     if ops.eigen is not None:
-        lam = ops.eigen.eigenvalues[order]
+        lam = ops.eigen.eigenvalues
         phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in tab.phi_keys}
         apply, exp_at = np.multiply, lambda c: phi[0, c] * I
     else:
@@ -351,7 +347,8 @@ def pinned_ops(path):
     return OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
 
 
-@pytest.mark.parametrize("tab", PINNED, ids=[t.name for t in PINNED[:4]] + ["gappy"])
+@pytest.mark.parametrize("tab", PINNED, ids=["euler", "rk2(c=0.5)", "rk3paper", "rk2(c=0.333333)",
+                                           "gappy"])
 @pytest.mark.parametrize("path, taus", [("testbed", range(3, 11)), ("given", range(3, 11)),
                                         ("nonsym-split", range(3, 7))],
                          ids=["testbed", "given", "nonsym-split"])
@@ -382,7 +379,7 @@ def test_spectral_build_holds_three_arrays():
     # rk3paper in A's eigenbasis: the spare buffer and B^ U_2, B^ U_3, R formed in them
     n = 399
     ops = build_operators(build_grid(n), 0.2)
-    ops.mirror_classes
+    ops.B_eigen
     tracemalloc.start()
     try:
         Stepper(third_order(), ops, 2.0 ** -5)
@@ -395,8 +392,8 @@ def test_spectral_build_holds_three_arrays():
 @pytest.mark.parametrize("tau", [2.0 ** -4, 2.0 ** -10])
 @pytest.mark.parametrize("scheme", ["euler", "rk2", "rk3paper"])
 def test_class_path_solve_matches_full_B_eigen_path(scheme, tau):
-    # one pair steps with X in class order, the same matrices given by hand with the dense B^.
-    # Over T = 1 they part by up to 1.1e-13 (rk2 at 2^-10, 1024 steps), while each lies
+    # one pair steps in class order by B^'s blocks, the same matrices given by hand in eigh's
+    # ascending order with the dense B^. Over T = 1 they part by up to 1.1e-13 (rk2 at 2^-10, 1024 steps), while each lies
     # 3.6e-11 from an extended-precision build on the exact sine basis: eigh's lam_1 sets that
     g = build_grid(399)
     grid_pair, u0 = build_operators(g, 0.2), initial_data(g)
@@ -408,15 +405,13 @@ def test_class_path_solve_matches_full_B_eigen_path(scheme, tau):
 
 @pytest.mark.parametrize("scheme, products", [("euler", 0), ("rk3paper", 4)])
 def test_class_path_build_multiplies_half_size_blocks_only(scheme, products, monkeypatch):
-    # every B^ U is X S_o and X^T S_e, inner dimension <= ceil(n/2); the dense B^ is never
-    # formed, so euler, which multiplies nothing, reads no n x n B^ either
+    # every B^ U is X S_o and -X^T S_e, inner dimension <= ceil(n/2); euler multiplies nothing
     n = 399
     ops = build_operators(build_grid(n), 0.2)
-    ops.mirror_classes
+    ops.B_eigen
     inner, matmul = [], np.matmul
     monkeypatch.setattr(np, "matmul",
                         lambda a, b, **kw: inner.append(a.shape[-1]) or matmul(a, b, **kw))
-    monkeypatch.setattr(OperatorPair, "B_eigen", property(lambda self: pytest.fail("read B_eigen")))
     Stepper(resolve_scheme(scheme, 0.5), ops, 2.0 ** -5)
     assert len(inner) == products and max(inner, default=0) <= (n + 1) // 2
 
