@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError
-from .matfuncs import SymEigen, sym_eigen
+from .matfuncs import SymEigen, sym_eigen, tridiagonal_eigen
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,31 +56,27 @@ class OperatorPair:
 
     @cached_property
     def eigen(self) -> SymEigen | None:
-        """A = Q diag(lam) Q^T by one sym_eigen, cached; None for a non-symmetric A. On a
+        """A = V diag(lam) W, W = V^-1, cached: sym_eigen's Q and Q^T, else tridiagonal_eigen's
+        D Q and Q^T D^-1 for a tridiagonal A that a diagonal D makes symmetric, else None. On a
         build_operators pair, modes even about x = 1/2 (eigh's 0, 2, ...) come first, then odd."""
         try:
             E = sym_eigen(self.A)
         except ContractError:  # not symmetric to 1e-12 (or not finite)
-            return None
+            return tridiagonal_eigen(self.A)
         order = np.r_[0:len(E.eigenvalues):2, 1:len(E.eigenvalues):2]
         return E if self.grid is None else SymEigen(E.eigenvalues[order], E.eigenvectors.take(order, 1))
 
     @cached_property
     def B_eigen(self) -> np.ndarray:
-        """Q^T B Q, cached like eigen: a pair's given A and B must not change after first use. On
+        """W B V, cached like eigen: a pair's given A and B must not change after first use. On
         a build_operators pair [[0, X], [-X^T, 0]] (Cantoni & Butler 1976), X = Q_e^T B Q_o."""
         Q = self.eigen.eigenvectors
         if self.grid is None:
-            return Q.T @ self.B @ Q
+            return self.eigen.inverse @ self.B @ Q
         B, m = np.zeros_like(Q), (len(Q) + 1) // 2
         X = np.matmul(Q[:, :m].T, apply_B(self.grid, Q[:, m:]), out=B[:m, m:])
         np.negative(X.T, out=B[m:, :m])
         return B
-
-    @cached_property
-    def phi_memo(self) -> dict:
-        """matfuncs.phi_matrices' memo for this pair's Stepper builds: tau/2 reuses tau's levels."""
-        return {}
 
 
 NORMS = {"l1": 1, "l2": 2, "linf": math.inf}  # each error norm's name: its order p

@@ -4,7 +4,8 @@ Provides the matrix exponential (scaling-and-squaring with a diagonal
 Pade approximant of order 13), the phi functions phi_k for scalars and
 (in phi_matrices, the one evaluator of phi matrices) for matrices, the
 augmented-matrix evaluation of sum_i phi_i(M) v_i as a single exponential,
-and a symmetric eigendecomposition with fractional powers.
+a symmetric eigendecomposition with fractional powers, and the eigendecomposition
+of a tridiagonal matrix that a diagonal similarity makes symmetric.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ _PADE13 = (
 )
 _PADE13_BOUND = 5.37  # 1-norm up to which the approximant is full precision
 _SYMMETRY_RTOL = 1e-12  # is_symmetric: max |M - M^T| <= this * max |M|
+_SIMILARITY_COND = 1e3  # tridiagonal_eigen's largest cond(D): the rounding of V and W grows with it
 
 _PHI_TAYLOR_TERMS = 20  # Taylor terms of _phi_levels at ||Y||_1 <= 1
 _PHI_SCALAR_CUTOFF = 3.0  # phi_values sums Taylor terms below this |z|
@@ -52,18 +54,17 @@ def is_symmetric(M):
     return np.abs(M - M.T).max() <= _SYMMETRY_RTOL * np.abs(M).max()
 
 
-def _expm_levels(Ms, E=None):
-    """e^(2^j Ms), j = 0, 1, ...: a Pade solve at Ms (none from a level E), a squaring a level."""
-    if E is None:
-        b, I = _PADE13, np.eye(len(Ms))
-        M2 = Ms @ Ms
-        M4 = M2 @ M2
-        M6 = M4 @ M2
-        U = Ms @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-                  + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * I)
-        V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-             + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * I)
-        E = np.linalg.solve(V - U, V + U)
+def _expm_levels(Ms):
+    """e^(2^j Ms), j = 0, 1, ...: a Pade solve at Ms, then a squaring a level."""
+    b, I = _PADE13, np.eye(len(Ms))
+    M2 = Ms @ Ms
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    U = Ms @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+              + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * I)
+    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * I)
+    E = np.linalg.solve(V - U, V + U)
     while True:
         yield E
         E = E @ E
@@ -132,25 +133,23 @@ def phi_combination(M, vs):
     return expm(aug)[:n, -1]
 
 
-def _phi_levels(Y, kmax, phis=None):
+def _phi_levels(Y, kmax):
     """[phi_0, ..., phi_kmax] at 2^j Y for j = 0, 1, ... (Skaflestad & Wright 2009).
 
     At ||Y||_1 <= 1 one Horner pass gives the Taylor sum of phi_kmax(Y) and then
-    phi_j = Y phi_{j+1} + I/j!; each level is one doubling, from a given level phis with no
-    Horner pass: phi_j(2Y) = 2^-j (phi_0 phi_j + sum_{i=1..j} phi_i / (j-i)!).
+    phi_j = Y phi_{j+1} + I/j!; each further level is one doubling,
+    phi_j(2Y) = 2^-j (phi_0 phi_j + sum_{i=1..j} phi_i / (j-i)!).
     Both run in place, as fresh n x n temporaries page-fault: Horner starts at I/(kmax+19)!
     (Y @ 0 + I/(kmax+19)! for finite Y) and adds 1/j! to Y @ P's diagonal; a doubling sums
     into its fresh entry via one scratch and scales by 0.5^j. Values are the out-of-place ones.
     """
-    spare = np.empty_like(Y)
-    if phis is None:
-        P, phis = np.zeros_like(Y), []
-        P.flat[::len(Y) + 1] = 1.0 / math.factorial(kmax + _PHI_TAYLOR_TERMS - 1)
-        for j in range(kmax + _PHI_TAYLOR_TERMS - 2, -1, -1):
-            P = Y @ P
-            P.flat[::len(Y) + 1] += 1.0 / math.factorial(j)
-            if j <= kmax:
-                phis.insert(0, P)
+    spare, P, phis = np.empty_like(Y), np.zeros_like(Y), []
+    P.flat[::len(Y) + 1] = 1.0 / math.factorial(kmax + _PHI_TAYLOR_TERMS - 1)
+    for j in range(kmax + _PHI_TAYLOR_TERMS - 2, -1, -1):
+        P = Y @ P
+        P.flat[::len(Y) + 1] += 1.0 / math.factorial(j)
+        if j <= kmax:
+            phis.insert(0, P)
     while True:
         yield phis
         old, phis = phis, [phis[0] @ phis[0]]
@@ -162,14 +161,13 @@ def _phi_levels(Y, kmax, phis=None):
             phis.append(np.multiply(G, 0.5 ** j, out=G))
 
 
-def _chain_levels(M, kmax, bound, levels, old, memo):
+def _chain_levels(M, kmax, bound, levels):
     """{t: level s of levels(Y, k)} for each t in kmax, with t M = 2^s Y, ||Y||_1 <= bound.
 
     t = m 2^e with 1 <= |m| < 2 (so m M is M itself at t = 1, as expm needs), and a
     power of two scales exactly (away from overflow and subnormals), so t M = 2^e (m M):
     the members of one family m with one d = e - s share Y = 2^d (m M), bit for bit
     what t M / 2^s gives, and one chain run to their largest s, with k their largest kmax.
-    Levels kept in old are read, not rerun, and memo gets each chain's window (phi_matrices).
     """
     family, groups = {}, defaultdict(lambda: defaultdict(list))
     for t in kmax:
@@ -184,20 +182,12 @@ def _chain_levels(M, kmax, bound, levels, old, memo):
     out = {}
     for (m, d), members in groups.items():
         k = max(kmax[t] for ts in members.values() for t in ts)
-        key = k, (Y := np.ldexp(family[m][0], d)).tobytes()
-        kept, lo = old.get(key, {}), min(members) - 1
-        missing = [s for s in members if s not in kept]
-        if missing:  # one run, from the highest kept level below them to the highest
-            start = max((j for j in kept if j < min(missing)), default=0)
-            for s, level in zip(range(start, max(missing) + 1), levels(Y, k, kept.get(start))):
-                if s == 0 or s >= lo:
-                    kept[s] = level
-        memo[key] = {s: kept[s] for s in kept if s == 0 or lo <= s <= max(members)}
-        out.update((t, kept[s]) for s, ts in members.items() for t in ts)
+        for s, level in zip(range(max(members) + 1), levels(np.ldexp(family[m][0], d), k)):
+            out.update((t, level) for t in members.get(s, ()))
     return out
 
 
-def phi_matrices(M, keys, memo=None):
+def phi_matrices(M, keys):
     """{(k, t): phi_k(t M)} for every key (k, t) in keys, symmetric M or not.
 
     The t of one power-of-two family (t = 1, 1/2, 1/4, ...) share one chain
@@ -207,10 +197,6 @@ def phi_matrices(M, keys, memo=None):
     a chain's base (||t M||_1 <= 1 for phi, <= 5.37 for phi_0), or outside
     every family, gets a chain of its own; t = 0 gives I/k! exactly. Only
     the t of a phi_0 key run a phi_0 chain.
-
-    A memo dict kept by the caller passes levels on, as M and M/2 share their chains' bases Y
-    bit for bit: each call sets it to {(k, Y's bytes): {s: level}} for its chains (k = 0: Pade),
-    level 0 and one below the lowest read to the highest; values, read-only, are as without it.
     """
     M = _as_square(M)
     keys = set(keys)
@@ -220,11 +206,9 @@ def phi_matrices(M, keys, memo=None):
     todo, kmax = keys - out.keys(), {}
     for k, t in todo:
         kmax[t] = max(k, kmax.get(t, 0))
-    old, memo = ({}, {}) if memo is None else (dict(memo), memo)
-    memo.clear()
     phi0 = _chain_levels(M, {t: 0 for k, t in todo if k == 0}, _PADE13_BOUND,
-                         lambda Y, _, E: _expm_levels(Y, E), old, memo)
-    phis = _chain_levels(M, {t: k for t, k in kmax.items() if k}, 1.0, _phi_levels, old, memo)
+                         lambda Y, _: _expm_levels(Y))
+    phis = _chain_levels(M, {t: k for t, k in kmax.items() if k}, 1.0, _phi_levels)
     out.update({(k, t): phis[t][k] if k else phi0[t] for k, t in todo})
     return out
 
@@ -236,10 +220,16 @@ def phi_matrix(k: int, M):
 
 @dataclass(frozen=True, eq=False)
 class SymEigen:
-    """Eigendecomposition M = Q diag(eigenvalues) Q^T, in the order its maker states."""
+    """Eigendecomposition M = V diag(eigenvalues) W, W = V^-1, in the order its maker states;
+    W is V^T unless given, as for a symmetric M's orthogonal V = Q."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    inverse: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.inverse is None:
+            object.__setattr__(self, "inverse", self.eigenvectors.T)
 
 
 def sym_eigen(M) -> SymEigen:
@@ -256,11 +246,31 @@ def sym_eigen(M) -> SymEigen:
     return SymEigen(eigenvalues=lam, eigenvectors=Q)
 
 
+def tridiagonal_eigen(M) -> SymEigen | None:
+    """M = V diag(lam) W for a tridiagonal M whose products p_j = M[j+1, j] M[j, j+1] are all
+    positive: M = D S D^-1, d_1 = 1, d_(j+1) = d_j sqrt(M[j+1, j] / M[j, j+1]), with S symmetric
+    (off-diagonals sign(M[j+1, j]) sqrt(p_j)), so S = Q diag(lam) Q^T by eigh gives V = D Q and
+    W = Q^T D^-1 (Noschese, Pasquini & Reichel, NLAA 2013). None unless M is finite and
+    tridiagonal, every p_j > 0 and finite, and cond(D) = max d / min d <= 1e3."""
+    M = np.asarray(M, dtype=float)
+    lower, upper = np.diag(M, -1), np.diag(M, 1)
+    with np.errstate(all="ignore"):  # only a refused M overflows or divides by 0 here
+        p = lower * upper
+        d = np.cumprod(np.r_[1.0, np.sqrt(lower / upper)])
+    if not (np.isfinite(M).all() and np.all((p > 0) & (p < np.inf))
+            and d.max() <= _SIMILARITY_COND * d.min()
+            and np.array_equal(M, np.triu(np.tril(M, 1), -1))):
+        return None
+    S, i = np.diag(np.diag(M)), np.arange(len(M) - 1)
+    S[i + 1, i] = S[i, i + 1] = np.copysign(np.sqrt(p), lower)
+    lam, Q = np.linalg.eigh(S)
+    return SymEigen(lam, d[:, None] * Q, Q.T / d)
+
+
 def frac_power(E: SymEigen, gamma: float):
-    """Q diag(lambda^gamma) Q^T; needs a positive spectrum for non-integral gamma
+    """V diag(lambda^gamma) W; needs a positive spectrum for non-integral gamma
     and a nonsingular matrix for negative gamma."""
     lam = E.eigenvalues
     if (gamma != int(gamma) and lam.min() <= 0.0) or (gamma < 0 and np.any(lam == 0.0)):
         raise DomainError(f"power {gamma} undefined: smallest eigenvalue {lam.min():g} <= 0")
-    Q = E.eigenvectors
-    return (Q * lam ** gamma) @ Q.T
+    return (E.eigenvectors * lam ** gamma) @ E.inverse

@@ -2,18 +2,18 @@
 
 The problem u' + Au = Bu is linear and autonomous, so one step of an
 explicit exponential Runge-Kutta scheme is a fixed matrix R(tau), built once
-per (tableau, A, tau) by running the stage recurrence on the identity. For a
-symmetric A = Q diag(lam) Q^T it runs in A's eigenbasis (Hochbruck & Ostermann,
+per (tableau, A, tau) by running the stage recurrence on the identity. Where
+ops.eigen gives A = V diag(lam) W, W = V^-1 (Q and Q^T for a symmetric A; D Q and
+Q^T D^-1 for a tridiagonal A that a diagonal D makes symmetric, as the split
+A - theta B of the testbed), it runs in that eigenbasis (Hochbruck & Ostermann,
 Acta Numerica 2010, sec. 2), where every phi matrix is a diagonal phi_k(t lam):
-a build there costs its s - 1 products B^ U_i, B^ = ops.B_eigen, plus O(n^2) row scalings
-and in-place sums in s n x n arrays, each phi_0 + T_1 + ... left to right. A build_operators
-pair's basis comes in mirror-class order, even modes about x = 1/2 first, where
-B^ = [[0, X], [-X^T, 0]], so each product B^ U is two half-size GEMMs on its blocks.
+a build there costs its s - 1 products B^ U_i, B^ = ops.B_eigen = W B V, plus O(n^2) row
+scalings and in-place sums in s n x n arrays, each phi_0 + T_1 + ... left to right. A
+build_operators pair's basis comes in mirror-class order, even modes about x = 1/2 first,
+where B^ = [[0, X], [-X^T, 0]], so each product B^ U is two half-size GEMMs on its blocks.
 Any other A takes its phi matrices from one matfuncs.phi_matrices call, in
 which nodes of one power-of-two family (1 and 1/2 for rk2(1/2) and rk3paper)
 share one squaring chain for phi_0 and one doubling chain for the higher phi.
-The pair's phi_memo keeps each chain's base and its levels from one below the lowest
-read up, keyed by top phi order and base bits: tau/2 needs no Horner pass or Pade solve.
 
 solve runs its N matvecs unchecked and tests finiteness once at the end: a
 non-finite entry stays non-finite through every later matvec. Only a failed
@@ -48,7 +48,7 @@ class SolveResult:
 
 
 class Stepper:
-    """Step u -> Q R Q^T u: Q is ops.eigen's eigenvectors for a symmetric A, else I."""
+    """Step u -> V R W u: V and W = V^-1 are ops.eigen's eigenvectors and inverse, else I."""
 
     def __init__(self, tableau: Tableau, ops: OperatorPair, tau: float):
         if not 0 < tau < math.inf:
@@ -58,7 +58,8 @@ class Stepper:
         # eigenbasis a diagonal, held as a column, so applying it is a row scaling.
         diagonal, product, apply = ops.eigen is not None, np.matmul, np.multiply
         if diagonal:
-            lam, self.Q, B = ops.eigen.eigenvalues, ops.eigen.eigenvectors, ops.B_eigen
+            E, B = ops.eigen, ops.B_eigen
+            lam, self.V, self.W = E.eigenvalues, E.eigenvectors, E.inverse
             if ops.grid is not None:  # class order: B^ = [[0, X], [-X^T, 0]]
                 m = (len(B) + 1) // 2
 
@@ -69,9 +70,9 @@ class Stepper:
             phi = {(k, s): phi_values(k, -s * tau * lam)[:, None] for k, s in tableau.phi_keys}
         else:
             A, B = ops.A, ops.B
-            self.Q, apply = np.eye(len(A)), np.matmul
-            phi = phi_matrices(-tau * A, tableau.phi_keys, ops.phi_memo)
-        n, zero = len(self.Q), np.zeros_like(phi[0, 1.0])
+            self.V = self.W = np.eye(len(A))
+            phi, apply = phi_matrices(-tau * A, tableau.phi_keys), np.matmul
+        n, zero = len(B), np.zeros_like(phi[0, 1.0])
         # A build holds s n x n arrays of its own (three for rk3paper): page faults on
         # fresh n x n temporaries took ~2.5 of ~11 ms of an rk3paper build at n = 399.
         spare = np.empty((n, n))
@@ -102,10 +103,10 @@ class Stepper:
         u = np.asarray(u, dtype=float)
         if u.shape != self.R.shape[:1]:
             raise DimensionError(f"state shape {u.shape} does not match operators ({len(self.R)})")
-        return self.Q.T @ u
+        return self.W @ u
 
     def step(self, u):
-        return self.Q @ (self.R @ self.to_basis(u))
+        return self.V @ (self.R @ self.to_basis(u))
 
 
 def check_divides(T, tau, what="tau") -> int:
@@ -136,7 +137,7 @@ def solve(tableau: Tableau, ops: OperatorPair, u0, T: float, tau: float) -> Solv
             v = stepper.R @ v
             if not np.isfinite(v).all():
                 raise InstabilityError(i + 1)
-    return SolveResult(final=stepper.Q @ v, steps=N, tau=tau)
+    return SolveResult(final=stepper.V @ v, steps=N, tau=tau)
 
 
 def spectral_radius_estimate(L) -> float:

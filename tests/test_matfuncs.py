@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from exprk.discretize import build_grid, build_operators
 from exprk.errors import ContractError, DimensionError, DomainError, ParameterError
 from exprk.matfuncs import (MAX_PHI_ORDER, SymEigen, expm, frac_power, is_symmetric,
                             phi_combination, phi_matrices, phi_matrix, phi_values,
-                            sym_eigen)
+                            sym_eigen, tridiagonal_eigen)
 from oracles import exact_eigen
 
 
@@ -238,39 +239,6 @@ def test_phi_matrices_shared_chains_match_one_key_calls():
         assert np.array_equal(table[k, 0.0], np.eye(8) / math.factorial(k))
 
 
-@pytest.mark.parametrize("kmax", [1, 3, MAX_PHI_ORDER])
-def test_level_loops_resume_bit_for_bit(kmax):
-    # a run resumed from a kept level gives the levels an unbroken run gives, with no
-    # Horner pass or Pade solve
-    Y = np.random.default_rng(41).standard_normal((9, 9))
-    Y /= np.linalg.norm(Y, 1)
-    for levels, resume in ((lambda: matfuncs._phi_levels(Y, kmax),
-                            lambda lv: matfuncs._phi_levels(Y, kmax, lv)),
-                           (lambda: matfuncs._expm_levels(5.0 * Y),
-                            lambda lv: matfuncs._expm_levels(5.0 * Y, lv))):
-        whole = [lv for lv, _ in zip(levels(), range(8))]
-        for j in (0, 3, 6):
-            for want, got in zip(whole[j:], resume(whole[j])):
-                assert np.array_equal(want, got), (kmax, j)
-
-
-@pytest.mark.parametrize("scale", [2.0, 0.5, 3.0])
-def test_phi_matrices_memo_keeps_every_value(scale):
-    # a memo carried from M to M/2, 2M or 3M changes no bit, for every family of
-    # the shared-chain key set above (1, 1/2, 1/4; 1/3; 0; -1)
-    rng = np.random.default_rng(23)
-    M = rng.standard_normal((8, 8))
-    M *= 40.0 / np.linalg.norm(M, 1)
-    keys = {(k, t) for t, top in {1.0: 3, 0.5: 2, 0.25: 3, 1.0 / 3.0: 2, 0.0: 2, -1.0: 1}.items()
-            for k in range(top + 1)}
-    memo = {}
-    for X in (M, M / scale, M / scale ** 2, M):
-        table = phi_matrices(X, keys, memo)
-        fresh = phi_matrices(X, keys)
-        assert all(np.array_equal(table[key], fresh[key]) for key in keys)
-        assert memo and all(0 in levels for levels in memo.values())
-
-
 def out_of_place_phi_levels(Y, kmax):
     """_phi_levels as plain out-of-place formulas: Horner from P = 0 and a fresh
     sum per doubling; the in-place chain must give its values bit for bit."""
@@ -462,6 +430,42 @@ def test_sym_eigen_decomposes_the_symmetric_part(monkeypatch):
         sym_eigen(M)
     assert seen[0] is exact and np.array_equal(0.5 * (exact + exact.T), exact)
     assert np.array_equal(seen[1], 0.5 * (near + near.T))
+
+
+# ------------------------------------------------------ tridiagonal_eigen
+
+@pytest.mark.parametrize("n", [2, 15, 100, 399])
+def test_tridiagonal_eigen_decomposes_the_testbed_split(n):
+    # A - B/2 = D S D^-1 with S = tridiag(-c, 2a, -c), c = sqrt((a - b/2)(a + b/2)), whose
+    # eigenvalues 2a - 2c cos(k pi h) are the closed-form oracle; W V = I and V diag(lam) W = M
+    g = build_grid(n)
+    ops = build_operators(g, 0.2)
+    M = ops.A - ops.B / 2
+    E = tridiagonal_eigen(M)
+    a, b = 0.2 / g.h ** 2, 0.5 / g.h
+    c = math.sqrt((a - b / 2) * (a + b / 2))
+    lam = 2 * a - 2 * c * np.cos(np.pi * g.h * np.arange(1, n + 1))
+    assert np.abs(E.eigenvalues - lam).max() <= 1e-13 * lam.max()
+    assert np.abs(E.inverse @ E.eigenvectors - np.eye(n)).max() <= 1e-13
+    assert np.abs(frac_power(E, 1.0) - M).max() <= 1e-13 * np.abs(M).max()  # V diag(lam) W
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[2.0, np.inf], [np.inf, 2.0]]),  # inf * inf > 0
+    np.array([[np.nan, -1.0], [-2.0, 2.0]]),
+    np.array([[2.0, -1e300], [-1e300, 2.0]]),  # the product overflows
+    np.array([[2.0, 0.0], [-1.0, 2.0]]),  # a zero product: D divides by 0
+], ids=["inf-off-diagonals", "nan-diagonal", "overflowing-product", "zero-upper"])
+def test_tridiagonal_eigen_refuses_without_warnings(M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tridiagonal_eigen(M) is None
+
+
+def test_symmetric_inverse_is_the_transposed_basis():
+    E = sym_eigen(np.diag([3.0, 1.0, 2.0]) + 0.5)
+    assert np.shares_memory(E.inverse, E.eigenvectors)
+    assert np.array_equal(E.inverse, E.eigenvectors.T)
 
 
 # ------------------------------------------------------------- frac_power

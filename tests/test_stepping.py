@@ -1,6 +1,5 @@
 """Scheme construction and time stepping, checked against scalar exact solutions."""
 
-import dataclasses
 import functools
 import math
 import re
@@ -10,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from exprk import matfuncs, probes, stepping
+from exprk import discretize, matfuncs, probes, stepping
 from exprk.discretize import (OperatorPair, build_grid, build_operators, discrete_norms,
                               initial_data)
 from exprk.errors import ContractError, DimensionError, InstabilityError, ParameterError
@@ -149,7 +148,7 @@ def stage_recurrence_step(tab, ops, tau, u):
 def test_propagator_matches_stage_recurrence(split):
     g = build_grid(15)
     ops = build_operators(g, 0.2)
-    if split:  # A' = A - B/2 is not symmetric: the Taylor-and-doubling phi path
+    if split:  # A' = A - B/2 steps in its eigenbasis D Q; the oracle runs expm and eval_matrix
         ops = OperatorPair(A=ops.A - ops.B / 2, B=ops.B / 2, nu=ops.nu)
     u = initial_data(g)
     tau = 0.02
@@ -184,13 +183,12 @@ def test_propagator_with_omitted_b_entry(split):
      {(0, 1.0), (0, 0.0), (1, 1.0)}),  # phi_0 at an interior 0 is I, from the table too
 ], ids=["euler", "rk2(1/3)", "rk3paper", "file-omitted-b", "file-interior-zero"])
 def test_nonsymmetric_stepper_reads_tableau_phi_keys(tab, want, monkeypatch):
-    base = build_operators(build_grid(15), 0.2)
-    ops = OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
+    ops = chain_pair(15)
     calls = []
 
-    def counted(M, keys, memo=None):
+    def counted(M, keys):
         calls.append(set(keys))
-        return matfuncs.phi_matrices(M, keys, memo)
+        return matfuncs.phi_matrices(M, keys)
     monkeypatch.setattr(stepping, "phi_matrices", counted)
     Stepper(tab, ops, 0.02)
     assert calls == [tab.phi_keys] and tab.phi_keys == want
@@ -200,88 +198,110 @@ def test_nonsymmetric_stepper_reads_tableau_phi_keys(tab, want, monkeypatch):
 def test_nonsymmetric_stepper_runs_one_chain_per_kernel(tau, monkeypatch):
     # rk3paper reads phi_k(Z) and phi_k(Z/2), one power-of-two family: one
     # Pade solve serves both phi_0 and one Horner pass both phi_1..phi_3
-    base = build_operators(build_grid(100), 0.2)
-    ops = OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
-    calls = []
-    for name in ("_expm_levels", "_phi_levels"):
-        def counted(*args, name=name, real=getattr(matfuncs, name)):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(matfuncs, name, counted)
+    ops = chain_pair(100)
+    calls = spy_level_loops(monkeypatch)
     Stepper(third_order(), ops, tau)
-    assert sorted(calls) == ["_expm_levels", "_phi_levels"]
+    assert sorted(calls) == ["pade", "phi"]
 
 
-# ------------------------------------------------------ phi chain memo
+# ------------------------------------------------------ the split pair's two paths
 
-MEMO_SCHEMES = [exponential_euler(), second_order(0.5), third_order()]
-MEMO_TAUS = {
-    "descending": [2.0 ** -k for k in range(3, 9)],
-    "ascending": [2.0 ** -k for k in range(8, 2, -1)],
-    "mixed": [0.02, 0.3, 0.01, 0.15, 2.0 ** -5],
-}
-
-
-def split_pair(n=30):
-    """The testbed split A' = A - B/2, B' = B/2: A' is not symmetric."""
-    base = build_operators(build_grid(n), 0.2)
+def split_pair(n=30, nu=0.2):
+    """The testbed split A' = A - B/2, B' = B/2: A' is not symmetric, but tridiagonal with
+    positive off-diagonal products, so D^-1 A' D is symmetric for a diagonal D."""
+    base = build_operators(build_grid(n), nu)
     return OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
 
 
+def chain_pair(n=30):
+    """split_pair(n) with its two corner entries set, so A' is not tridiagonal: no diagonal
+    similarity makes it symmetric, and its builds take the phi_matrices path."""
+    ops = split_pair(n)
+    A = ops.A.copy()
+    A[0, -1], A[-1, 0] = A[1, 0], A[0, 1]
+    return OperatorPair(A=A, B=ops.B, nu=ops.nu)
+
+
 def spy_level_loops(monkeypatch):
-    """A list that gets (kind, resumed) per run of a chain's level loop: kind "pade" or
-    "phi", resumed False when the run starts with its base step (a Pade solve or a Horner pass)."""
+    """A list that gets the kind, "pade" or "phi", of each run of a chain's level loop."""
     runs = []
-    for name, kind, at in (("_expm_levels", "pade", 1), ("_phi_levels", "phi", 2)):
-        def counted(*args, kind=kind, at=at, real=getattr(matfuncs, name)):
-            runs.append((kind, len(args) > at and args[at] is not None))
+    for name, kind in (("_expm_levels", "pade"), ("_phi_levels", "phi")):
+        def counted(*args, kind=kind, real=getattr(matfuncs, name)):
+            runs.append(kind)
             return real(*args)
         monkeypatch.setattr(matfuncs, name, counted)
     return runs
 
 
-@pytest.mark.parametrize("order", MEMO_TAUS)
-@pytest.mark.parametrize("tab", MEMO_SCHEMES, ids=["euler", "rk2", "rk3paper"])
-def test_memo_builds_match_fresh_pair_builds(tab, order):
-    # the memo only skips work: every R is the bits a fresh pair's first build gives
-    shared = split_pair()
-    for tau in MEMO_TAUS[order]:
-        assert np.array_equal(Stepper(tab, shared, tau).R, Stepper(tab, split_pair(), tau).R), tau
-        # a chain keeps its base and at most the two levels read and one below them
-        assert shared.phi_memo and all(0 in levels and len(levels) <= 4
-                                       for levels in shared.phi_memo.values()), tau
-
-
-def test_cleared_memo_rebuilds_the_same_R():
-    # phi_memo.clear() is how a general pair lets its chains go; del is refused (frozen)
-    ops, tab = split_pair(), third_order()
-    R = Stepper(tab, ops, 2.0 ** -3).R
-    assert ops.phi_memo
-    ops.phi_memo.clear()
-    assert np.array_equal(Stepper(tab, ops, 2.0 ** -3).R, R)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        del ops.phi_memo
-
-
-@pytest.mark.parametrize("tab", MEMO_SCHEMES, ids=["euler", "rk2", "rk3paper"])
-def test_memo_halving_study_runs_one_base_step_per_chain(tab, monkeypatch):
-    # tau, tau/2, tau/4, tau/8: the first build runs both chains from their bases, the
-    # third resumes each from its base, the second and fourth read kept levels only
-    runs = spy_level_loops(monkeypatch)
-    ops = split_pair(100)
-    for k in range(3, 7):
-        Stepper(tab, ops, 2.0 ** -k)
-    for kind in ("pade", "phi"):
-        resumed = [r for kd, r in runs if kd == kind]
-        assert resumed.count(False) == 1 and len(resumed) <= 2, (kind, resumed)
-
-
-def test_memo_lives_with_its_pair(monkeypatch):
-    # no cache outlives a pair: two fresh pairs each run their own Horner pass and Pade solve
+def test_no_chain_cache_outlives_a_pair(monkeypatch):
+    # two fresh pairs each run their own Horner pass and Pade solve
     runs = spy_level_loops(monkeypatch)
     for _ in range(2):
-        Stepper(third_order(), split_pair(), 0.02)
-    assert runs.count(("phi", False)) == 2 and runs.count(("pade", False)) == 2
+        Stepper(third_order(), chain_pair(), 0.02)
+    assert runs.count("phi") == 2 and runs.count("pade") == 2
+
+
+@pytest.mark.parametrize("n", [30, 399])
+def test_split_pair_steps_in_its_eigenbasis(n, monkeypatch):
+    # W V = I, and a build runs no phi chain
+    ops = split_pair(n)
+    E = ops.eigen
+    assert E is not None and np.abs(E.inverse @ E.eigenvectors - np.eye(n)).max() <= 1e-13
+    runs = spy_level_loops(monkeypatch)
+    for tab in (exponential_euler(), second_order(0.5), third_order()):
+        Stepper(tab, ops, 2.0 ** -4)
+    assert runs == []
+
+
+def chain_propagator(ops, tab, tau, monkeypatch):
+    """R(tau) of the phi_matrices path, on a copy of ops whose eigen finds no similarity."""
+    with monkeypatch.context() as m:
+        m.setattr(discretize, "tridiagonal_eigen", lambda A: None)
+        return Stepper(tab, OperatorPair(A=ops.A, B=ops.B, nu=ops.nu), tau).R
+
+
+@pytest.mark.parametrize("n", [100, 399])
+def test_split_pair_propagator_matches_the_chain_path(n, monkeypatch):
+    ops = split_pair(n)
+    for tab, tau in ((second_order(0.5), 2.0 ** -3), (third_order(), 2.0 ** -6)):
+        stepper = Stepper(tab, ops, tau)
+        want = chain_propagator(ops, tab, tau, monkeypatch)
+        got = stepper.V @ stepper.R @ stepper.W
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), tab.name
+
+
+def refused_pair(case):
+    """A pair whose A' tridiagonal_eigen refuses, one per refusal rule."""
+    if case == "not-tridiagonal":
+        return chain_pair()
+    if case == "cond-above-bound":  # cond(D) = 3.6e3 > 1e3 at nu = 0.03, n = 100
+        return split_pair(100, 0.03)
+    ops, base = split_pair(), build_operators(build_grid(30), 0.2)
+    A = ops.A
+    if case == "product-negative":  # A - theta B, theta = 4a/b > a/b: bands 3a and -5a
+        A = base.A - (2.0 * base.A[0, 0] / base.B[0, 1]) * base.B
+    elif case == "product-zero":
+        A[5, 4] = 0.0
+    else:  # inf on both off-diagonals: inf * inf > 0 must not pass
+        A[5, 4] = A[4, 5] = -np.inf
+    return OperatorPair(A=A, B=ops.B, nu=0.2)
+
+
+@pytest.mark.parametrize("case", ["not-tridiagonal", "product-negative", "product-zero",
+                                  "cond-above-bound", "non-finite"])
+def test_refused_similarity_falls_back_to_the_chain_path(case, monkeypatch):
+    ops, calls = refused_pair(case), []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ops.eigen is None
+    monkeypatch.setattr(stepping, "phi_matrices",
+                        lambda M, keys: calls.append(keys) or matfuncs.phi_matrices(M, keys))
+    if case == "non-finite":  # the chain path refuses it in turn
+        with pytest.raises(ContractError, match="non-finite"):
+            Stepper(third_order(), ops, 2.0 ** -4)
+    else:
+        assert np.isfinite(Stepper(third_order(), ops, 2.0 ** -4).R).all()
+    assert calls == [third_order().phi_keys]
 
 
 # ------------------------------------------------------ bit-identity pins
@@ -336,22 +356,23 @@ PINNED = [resolve_scheme("euler", 0.5), resolve_scheme("rk2", 0.5), resolve_sche
 
 @functools.lru_cache(maxsize=None)
 def pinned_ops(path):
-    """The n = 399 paper testbed, its matrices given by hand (the dense B_eigen path), or
-    the split A' = A - B/2 at n = 100."""
+    """The n = 399 paper testbed, its matrices given by hand (the dense B_eigen path), the
+    split A' = A - B/2 at n = 100 (its eigenbasis D Q, B^ = W B V), or that split with its
+    corners set (the phi_matrices path)."""
     if path == "testbed":
         return build_operators(build_grid(399), 0.2)
     if path == "given":
         base = build_operators(build_grid(399), 0.2)
         return OperatorPair(A=base.A, B=base.B, nu=base.nu)
-    base = build_operators(build_grid(100), 0.2)
-    return OperatorPair(A=base.A - base.B / 2, B=base.B / 2, nu=base.nu)
+    return split_pair(100) if path == "similar-split" else chain_pair(100)
 
 
 @pytest.mark.parametrize("tab", PINNED, ids=["euler", "rk2(c=0.5)", "rk3paper", "rk2(c=0.333333)",
                                            "gappy"])
 @pytest.mark.parametrize("path, taus", [("testbed", range(3, 11)), ("given", range(3, 11)),
+                                        ("similar-split", range(3, 7)),
                                         ("nonsym-split", range(3, 7))],
-                         ids=["testbed", "given", "nonsym-split"])
+                         ids=["testbed", "given", "similar-split", "nonsym-split"])
 def test_propagator_is_bit_identical_to_plain_recurrence(path, taus, tab):
     ops = pinned_ops(path)
     assert (ops.eigen is None) == (path == "nonsym-split")
@@ -484,11 +505,11 @@ def test_propagator_matches_closed_form_eigenbasis_build():
 
 
 def test_solve_similarity_crosses_paths():
-    # D A D^-1 is not symmetric, so (A', B') takes the phi_matrices path while
+    # D A D^-1 is dense and not symmetric, so (A', B') takes the phi_matrices path while
     # (A, B) steps in A's eigenbasis; the two solutions differ by D exactly.
     g = build_grid(15)
     ops = build_operators(g, 0.2)
-    D = np.diag(1.1 ** np.arange(15))  # condition number 1.1^14 ~ 3.8
+    D = np.eye(15) + 0.05 * np.random.default_rng(5).standard_normal((15, 15))
     Dinv = np.linalg.inv(D)
     sim = OperatorPair(A=D @ ops.A @ Dinv, B=D @ ops.B @ Dinv, nu=ops.nu)
     assert sim.eigen is None and ops.eigen is not None
